@@ -1,6 +1,7 @@
 package rollingjoin
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -144,6 +145,15 @@ func TestCascadeBasic(t *testing.T) {
 	f := newCascadeFixture(t, Maintain{Interval: 4})
 	db := f.db
 
+	if _, err := db.DefineAggregate(AggSpec{
+		Name:    "bad",
+		Source:  "orders_enriched",
+		GroupBy: []string{"ghost"},
+		Aggs:    []Agg{{Func: AggCount}},
+	}, Maintain{}); err == nil {
+		t.Fatal("unknown group column should fail")
+	}
+
 	regions := []string{"east", "west", "north"}
 	for c := 0; c < 6; c++ {
 		c := c
@@ -256,8 +266,8 @@ func TestCascadeThirdLevel(t *testing.T) {
 }
 
 // TestCascadePointInTime checks per-level point-in-time refresh: each
-// level rolled to the same mid-stream CSN agrees with a recomputation of
-// that prefix.
+// level rolled to the same mid-stream commit — the aggregate by wall-clock
+// time — agrees with a recomputation of that prefix.
 func TestCascadePointInTime(t *testing.T) {
 	f := newCascadeFixture(t, Maintain{Interval: 2})
 	db := f.db
@@ -272,8 +282,11 @@ func TestCascadePointInTime(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	regionsWall := time.Now()
+	time.Sleep(2 * time.Millisecond)
 
-	var mid CSN
+	var mid, next CSN
+	var midWall time.Time
 	for i := 0; i < 20; i++ {
 		csn, err := db.Update(func(tx *Tx) error {
 			return tx.Insert("orders", Int(int64(i)), Int(int64(i%3)), Float(float64(i)))
@@ -281,9 +294,24 @@ func TestCascadePointInTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i == 9 {
+		switch i {
+		case 9:
 			mid = csn
+			midWall = time.Now()
+			time.Sleep(2 * time.Millisecond)
+		case 10:
+			next = csn
 		}
+	}
+	// Background maintenance commits may land between mid and midWall, so
+	// the wall time resolves to the last commit at or before it: at or
+	// after mid, before the next order.
+	at, err := db.CSNAt(midWall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at < mid || at >= next {
+		t.Fatalf("CSNAt(midWall) = %d, want in [%d, %d)", at, mid, next)
 	}
 
 	// Expected rollup for the first 10 orders (ids 0..9, amt == id).
@@ -305,16 +333,28 @@ func TestCascadePointInTime(t *testing.T) {
 		exp[r] = a
 	}
 
-	if err := f.hourly.CatchUp(mid); err != nil {
+	if err := f.hourly.CatchUp(at); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.enriched.RefreshTo(mid); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.hourly.RefreshTo(mid); err != nil {
+	got, err := f.hourly.RefreshToTime(midWall)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if got != at || f.hourly.MatTime() != at {
+		t.Fatalf("RefreshToTime(midWall) landed on %d (MatTime %d), want %d", got, f.hourly.MatTime(), at)
+	}
 	f.checkHourly(t, exp)
+	// An earlier wall time resolves below MatTime, and the aggregate never
+	// rolls backward; nor does it roll beyond its high-water mark.
+	if _, err := f.hourly.RefreshToTime(regionsWall); !errors.Is(err, ErrBackward) {
+		t.Fatalf("RefreshToTime(regionsWall) = %v, want ErrBackward", err)
+	}
+	if err := f.hourly.RefreshTo(f.hourly.HWM() + 1000); !errors.Is(err, ErrBeyondHWM) {
+		t.Fatalf("RefreshTo beyond HWM = %v, want ErrBeyondHWM", err)
+	}
 
 	// Roll everything to the end and check against the live oracle.
 	last := db.LastCSN()

@@ -9,7 +9,7 @@
 // (results are checked against recomputation oracles) and the command exits
 // non-zero on any failure. Alongside the text tables, a machine-readable
 // summary — per-experiment wall time, engine counters (rows scanned/joined,
-// query and index-probe counts), and the operator-pipeline A/B speedups —
+// query and index-probe counts), and the A/B experiments' per-arm records —
 // is written to the -json path ("" disables it).
 package main
 
@@ -49,12 +49,8 @@ type experimentResult struct {
 type report struct {
 	Quick       bool                     `json:"quick"`
 	Experiments []experimentResult       `json:"experiments"`
-	PipelineAB  []bench.ABEntry          `json:"pipeline_ab,omitempty"`
 	CacheAB     []bench.CacheABEntry     `json:"cache_ab,omitempty"`
-	SnapshotAB  []bench.SnapshotABEntry  `json:"snapshot_ab,omitempty"`
-	MultiViewAB []bench.MultiViewABEntry `json:"multiview_ab,omitempty"`
 	PartitionAB []bench.PartitionABEntry `json:"partition_ab,omitempty"`
-	BatchAB     []bench.BatchABEntry     `json:"batch_ab,omitempty"`
 	CascadeAB   []bench.CascadeABEntry   `json:"cascade_ab,omitempty"`
 	CompactAB   []bench.CompactABEntry   `json:"compact_ab,omitempty"`
 	Failed      int                      `json:"failed"`
@@ -67,12 +63,8 @@ func main() {
 	flag.Parse()
 	scale := bench.Scale{Quick: *quick}
 
-	var abEntries []bench.ABEntry
 	var cacheEntries []bench.CacheABEntry
-	var snapshotEntries []bench.SnapshotABEntry
-	var multiViewEntries []bench.MultiViewABEntry
 	var partitionEntries []bench.PartitionABEntry
-	var batchEntries []bench.BatchABEntry
 	var cascadeEntries []bench.CascadeABEntry
 	var compactEntries []bench.CompactABEntry
 	experiments := []experiment{
@@ -102,40 +94,16 @@ func main() {
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A1(s) }},
 		{"A2", "ablation: fixed vs adaptive propagation intervals",
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A2(s) }},
-		{"AB", "operator pipeline vs materializing executor",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.PipelineAB(s)
-				abEntries = entries
-				return tbl, err
-			}},
 		{"CACHE", "join-state cache vs scan and index propagation",
 			func(s bench.Scale) (fmt.Stringer, error) {
 				tbl, entries, err := bench.CacheAB(s)
 				cacheEntries = entries
 				return tbl, err
 			}},
-		{"SNAPSHOT", "read-view reads vs S-lock scans under concurrent writers",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.SnapshotAB(s)
-				snapshotEntries = entries
-				return tbl, err
-			}},
-		{"MULTIVIEW", "shared maintenance scheduler vs per-view polling at fan-out",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.MultiViewAB(s)
-				multiViewEntries = entries
-				return tbl, err
-			}},
 		{"PARTITION", "1 vs N partitions vs N+heavy/light on a skewed star schema",
 			func(s bench.Scale) (fmt.Stringer, error) {
 				tbl, entries, err := bench.PartitionAB(s)
 				partitionEntries = entries
-				return tbl, err
-			}},
-		{"BATCH", "row vs columnar batch layout vs columnar+arena",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.BatchAB(s)
-				batchEntries = entries
 				return tbl, err
 			}},
 		{"CASCADE", "3-level cascade refresh vs full recomputation",
@@ -161,7 +129,7 @@ func main() {
 		for _, id := range strings.Split(*run, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
 			if !known[id] {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 AB CACHE SNAPSHOT MULTIVIEW PARTITION BATCH CASCADE COMPACT)\n", id)
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 CACHE PARTITION CASCADE COMPACT)\n", id)
 				os.Exit(2)
 			}
 			selected[id] = true
@@ -202,12 +170,8 @@ func main() {
 			fmt.Printf("(%s verified in %s)\n\n", e.id, elapsed.Round(time.Millisecond))
 		}
 	}
-	rep.PipelineAB = abEntries
 	rep.CacheAB = cacheEntries
-	rep.SnapshotAB = snapshotEntries
-	rep.MultiViewAB = multiViewEntries
 	rep.PartitionAB = partitionEntries
-	rep.BatchAB = batchEntries
 	rep.CascadeAB = cascadeEntries
 	rep.CompactAB = compactEntries
 

@@ -2,9 +2,7 @@
 // drives a configurable workload (chain join or star schema) against one or
 // more maintained views and prints live throughput, maintenance, and
 // contention statistics — a small "sysbench" for asynchronous view
-// maintenance. Propagation runs on the event-driven maintenance scheduler
-// by default; -mode poll keeps the legacy per-view polling loops for
-// comparison.
+// maintenance. Propagation runs on the event-driven maintenance scheduler.
 //
 //	rollload -workload star -dims 3 -rows 5000 -updates 20000 \
 //	         -views 4 -interval 16 -report 1s
@@ -19,8 +17,6 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/capture"
@@ -40,8 +36,7 @@ func main() {
 	rows := flag.Int("rows", 2000, "initial rows per table (fact table for star)")
 	updates := flag.Int("updates", 10000, "update transactions to run")
 	views := flag.Int("views", 1, "number of identically defined maintained views")
-	mode := flag.String("mode", "sched", "maintenance driver: sched (event-driven scheduler) or poll (per-view 1ms polling loops)")
-	maint := flag.Int("maint", 4, "scheduler worker-pool size (sched mode)")
+	maint := flag.Int("maint", 4, "scheduler worker-pool size")
 	interval := flag.Int64("interval", 16, "propagation interval (commits)")
 	adaptive := flag.Int("adaptive", 0, "adaptive target rows per query (0 = fixed interval)")
 	indexed := flag.Bool("index", false, "create hash indexes on the join columns")
@@ -52,7 +47,7 @@ func main() {
 	skew := flag.Float64("skew", 0, "zipf exponent for fact-table keys in the star workload (0 = uniform)")
 	report := flag.Duration("report", time.Second, "live report period")
 	seed := flag.Int64("seed", 1, "workload random seed")
-	faults := flag.Int64("faults", 0, "chaos smoke: inject a transient I/O error every Nth view apply (sched mode only)")
+	faults := flag.Int64("faults", 0, "chaos smoke: inject a transient I/O error every Nth view apply")
 	soak := flag.Duration("soak", 0, "sustained-ingest endurance mode: run for this duration with folding, spill, and incremental checkpoints, sampling RSS and delta cardinality")
 	rssLimit := flag.Int("rss-limit", 0, "soak mode: fail if sampled RSS ever exceeds this many MB (0 = relative growth check only)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -72,7 +67,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*kind, *mode, *n, *dims, *rows, *updates, *views, *maint, *interval, *adaptive, *indexed, *cached, *workers, *partitions, *batch, *skew, *report, *seed, *faults); err != nil {
+	if err := run(*kind, *n, *dims, *rows, *updates, *views, *maint, *interval, *adaptive, *indexed, *cached, *workers, *partitions, *batch, *skew, *report, *seed, *faults); err != nil {
 		fmt.Fprintln(os.Stderr, "rollload:", err)
 		os.Exit(1)
 	}
@@ -86,9 +81,8 @@ type viewInst struct {
 	dest     *engine.DeltaTable
 	rp       *core.RollingPropagator
 	applier  *core.Applier
-	job      *sched.Job // sched mode
-	applyJob *sched.Job // sched mode with -faults: background apply under injected errors
-	wakeups  atomic.Int64
+	job      *sched.Job
+	applyJob *sched.Job // with -faults: background apply under injected errors
 }
 
 func classify(err error) sched.Outcome {
@@ -104,7 +98,7 @@ func classify(err error) sched.Outcome {
 	}
 }
 
-func run(kind, mode string, n, dims, rows, updates, views, maint int, interval int64, adaptive int, indexed, cached bool, workers, partitions, batch int, skew float64, report time.Duration, seed, faults int64) error {
+func run(kind string, n, dims, rows, updates, views, maint int, interval int64, adaptive int, indexed, cached bool, workers, partitions, batch int, skew float64, report time.Duration, seed, faults int64) error {
 	var w *workload.Workload
 	switch kind {
 	case "chain":
@@ -113,12 +107,6 @@ func run(kind, mode string, n, dims, rows, updates, views, maint int, interval i
 		w = workload.StarSchemaSkewed(dims, rows, rows/10+1, 20, skew)
 	default:
 		return fmt.Errorf("unknown workload %q", kind)
-	}
-	if mode != "sched" && mode != "poll" {
-		return fmt.Errorf("unknown mode %q (sched or poll)", mode)
-	}
-	if faults > 0 && mode != "sched" {
-		return errors.New("-faults requires -mode sched (errors flow into the scheduler's backoff path)")
 	}
 	if views < 1 {
 		views = 1
@@ -177,84 +165,49 @@ func run(kind, mode string, n, dims, rows, updates, views, maint int, interval i
 		}
 	}
 
-	// Maintenance drivers: one scheduler for every view, or one polling
-	// goroutine per view (the pre-scheduler architecture).
-	var s *sched.Scheduler
-	pollStop := make(chan struct{})
-	pollErr := make(chan error, views)
-	var pollWG sync.WaitGroup
-	if mode == "sched" {
-		s = sched.New(maint)
-		defer s.Close()
-		if faults > 0 {
-			// Chaos smoke: every Nth apply fails with a transient I/O error,
-			// which must ride the scheduler's retry/backoff path instead of
-			// killing the run.
-			fault.Set(fault.PointApply, fault.ErrEvery(faults, fault.ErrInjected))
-		}
-		for i, inst := range insts {
-			if db.Partitions() > 1 {
-				// Per-slice jobs of a partitioned step fan out to the
-				// shared maintenance pool.
-				inst.exec.Spawn = s.TrySpawn
-			}
-			opts := sched.Options{
-				HWM:          inst.rp.HWM,
-				Classify:     classify,
-				WakeOnNotify: true,
-			}
-			if faults > 0 {
-				inst := inst
-				inst.applyJob = s.Register(fmt.Sprintf("apply:%d", i), func() error {
-					before := inst.mv.MatTime()
-					t, err := inst.applier.RollToHWM()
-					if err != nil {
-						return err
-					}
-					if t <= before {
-						return core.ErrNoProgress
-					}
-					return nil
-				}, sched.Options{Classify: classify})
-				inst.applyJob.Start()
-				opts.OnProgress = inst.applyJob.Kick
-			}
-			inst.job = s.Register(fmt.Sprintf("prop:%d", i), inst.rp.Step, opts)
-			inst.job.Start()
-		}
-		cap.OnProgress(func(csn relalg.CSN) { s.Notify(csn) })
-	} else {
-		for _, inst := range insts {
-			inst := inst
-			pollWG.Add(1)
-			go func() {
-				defer pollWG.Done()
-				for {
-					select {
-					case <-pollStop:
-						return
-					default:
-					}
-					inst.wakeups.Add(1)
-					if err := inst.rp.Step(); err != nil {
-						if errors.Is(err, core.ErrNoProgress) {
-							select {
-							case <-pollStop:
-								return
-							case <-time.After(time.Millisecond):
-							}
-							continue
-						}
-						pollErr <- err
-						return
-					}
-				}
-			}()
-		}
+	// One event-driven maintenance scheduler drives every view.
+	s := sched.New(maint)
+	defer s.Close()
+	if faults > 0 {
+		// Chaos smoke: every Nth apply fails with a transient I/O error,
+		// which must ride the scheduler's retry/backoff path instead of
+		// killing the run.
+		fault.Set(fault.PointApply, fault.ErrEvery(faults, fault.ErrInjected))
 	}
+	for i, inst := range insts {
+		if db.Partitions() > 1 {
+			// Per-slice jobs of a partitioned step fan out to the
+			// shared maintenance pool.
+			inst.exec.Spawn = s.TrySpawn
+		}
+		opts := sched.Options{
+			HWM:          inst.rp.HWM,
+			Classify:     classify,
+			WakeOnNotify: true,
+		}
+		if faults > 0 {
+			inst := inst
+			inst.applyJob = s.Register(fmt.Sprintf("apply:%d", i), func() error {
+				before := inst.mv.MatTime()
+				t, err := inst.applier.RollToHWM()
+				if err != nil {
+					return err
+				}
+				if t <= before {
+					return core.ErrNoProgress
+				}
+				return nil
+			}, sched.Options{Classify: classify})
+			inst.applyJob.Start()
+			opts.OnProgress = inst.applyJob.Kick
+		}
+		inst.job = s.Register(fmt.Sprintf("prop:%d", i), inst.rp.Step, opts)
+		inst.job.Start()
+	}
+	cap.OnProgress(func(csn relalg.CSN) { s.Notify(csn) })
 
-	fmt.Printf("workload=%s mode=%s views=%d view=%s relations=%d initial-rows=%d updates=%d partitions=%d batch=%d\n\n",
-		kind, mode, views, w.View.Name, w.View.N(), rows, updates, db.Partitions(), db.BatchSize())
+	fmt.Printf("workload=%s views=%d view=%s relations=%d initial-rows=%d updates=%d partitions=%d batch=%d\n\n",
+		kind, views, w.View.Name, w.View.N(), rows, updates, db.Partitions(), db.BatchSize())
 
 	minHWM := func() relalg.CSN {
 		h := insts[0].rp.HWM()
@@ -312,55 +265,39 @@ func run(kind, mode string, n, dims, rows, updates, views, maint int, interval i
 		}
 	}
 	wall := time.Since(start)
-	var faultTrips int64
 
-	// Drain event-driven (sched mode waits on job progress broadcasts; poll
-	// mode's loops keep stepping until every HWM reaches the last commit),
-	// then stop maintenance, refresh, and verify against recomputation.
-	if mode == "sched" {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
-		for _, inst := range insts {
-			target := last
-			inst.job.Demand(target)
-			if err := inst.job.Await(ctx, func() bool { return inst.rp.HWM() >= target }); err != nil {
-				return err
-			}
-			if err := inst.job.Stop(); err != nil {
-				return err
-			}
-		}
-		for _, inst := range insts {
-			if inst.applyJob == nil {
-				continue
-			}
-			inst.applyJob.Kick()
-			target := inst.rp.HWM()
-			if err := inst.applyJob.Await(ctx, func() bool { return inst.mv.MatTime() >= target }); err != nil {
-				return err
-			}
-			if err := inst.applyJob.Stop(); err != nil {
-				return err
-			}
-		}
-		// Verification below recomputes without injection. Reset clears the
-		// counters too, so note the trip count first for the summary.
-		faultTrips = fault.Trips(fault.PointApply)
-		fault.Reset()
-	} else {
-		for _, inst := range insts {
-			for inst.rp.HWM() < last {
-				time.Sleep(time.Millisecond)
-			}
-		}
-		close(pollStop)
-		pollWG.Wait()
-		select {
-		case err := <-pollErr:
+	// Drain event-driven (wait on job progress broadcasts), then stop
+	// maintenance, refresh, and verify against recomputation.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for _, inst := range insts {
+		target := last
+		inst.job.Demand(target)
+		if err := inst.job.Await(ctx, func() bool { return inst.rp.HWM() >= target }); err != nil {
 			return err
-		default:
+		}
+		if err := inst.job.Stop(); err != nil {
+			return err
 		}
 	}
+	for _, inst := range insts {
+		if inst.applyJob == nil {
+			continue
+		}
+		inst.applyJob.Kick()
+		target := inst.rp.HWM()
+		if err := inst.applyJob.Await(ctx, func() bool { return inst.mv.MatTime() >= target }); err != nil {
+			return err
+		}
+		if err := inst.applyJob.Stop(); err != nil {
+			return err
+		}
+	}
+	// Verification below recomputes without injection. Reset clears the
+	// counters too, so note the trip count first for the summary.
+	faultTrips := fault.Trips(fault.PointApply)
+	fault.Reset()
+
 	full, csn, err := core.FullRefresh(db, w.View)
 	if err != nil {
 		return err
@@ -398,20 +335,12 @@ func run(kind, mode string, n, dims, rows, updates, views, maint int, interval i
 		insts[0].exec.Metrics.Latency.Max().Round(time.Microsecond))
 	fmt.Printf("delta rows produced:  %d in %d batches (view now %d tuples)\n",
 		produced, batches, insts[0].mv.Cardinality())
-	if mode == "sched" {
-		ss := s.Stats()
-		fmt.Printf("scheduler:            %d wakeups, %d steps, %d notifies, %d parks, %d backoffs (%d workers)\n",
-			ss.Wakeups, ss.Steps, ss.Notifies, ss.Parks, ss.Backoffs, ss.Workers)
-		if faults > 0 {
-			fmt.Printf("faults:               %d transient errors injected at %s (every %d applies), %d backoff retries absorbed them\n",
-				faultTrips, fault.PointApply, faults, ss.Backoffs)
-		}
-	} else {
-		var wakeups int64
-		for _, inst := range insts {
-			wakeups += inst.wakeups.Load()
-		}
-		fmt.Printf("polling:              %d wakeups across %d per-view loops\n", wakeups, views)
+	ss := s.Stats()
+	fmt.Printf("scheduler:            %d wakeups, %d steps, %d notifies, %d parks, %d backoffs (%d workers)\n",
+		ss.Wakeups, ss.Steps, ss.Notifies, ss.Parks, ss.Backoffs, ss.Workers)
+	if faults > 0 {
+		fmt.Printf("faults:               %d transient errors injected at %s (every %d applies), %d backoff retries absorbed them\n",
+			faultTrips, fault.PointApply, faults, ss.Backoffs)
 	}
 	fmt.Printf("engine:               %d rows scanned, %d joined, %d index probes\n",
 		st.RowsScanned, st.RowsJoined, st.IndexProbes)

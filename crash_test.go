@@ -88,8 +88,11 @@ func runCrashWorkload(t *testing.T, point string, hits int64, seed int64, extra 
 	}
 
 	fault.Set(point, fault.CrashOnHit(hits, fdev))
+	// A failpoint on a background job (fold) can fire while the view is
+	// still being defined; that is a crash like any other, recovered and
+	// verified below.
 	view, err := db.DefineView(orderPricesSpec(), Maintain{Interval: 4, AutoRefresh: true})
-	if err != nil {
+	if err != nil && !fdev.Frozen() {
 		t.Fatal(err)
 	}
 	_ = view

@@ -468,6 +468,23 @@ func (av *AggView) stageRow(stage map[*aggGroup]*aggStage, row tuple.Tuple, coun
 	return nil
 }
 
+// numeric coerces a value to float64 for SUM (NULL contributes 0).
+func numeric(v tuple.Value) float64 {
+	switch v.Kind() {
+	case tuple.KindInt:
+		return float64(v.AsInt())
+	case tuple.KindFloat:
+		return v.AsFloat()
+	case tuple.KindBool:
+		if v.AsBool() {
+			return 1
+		}
+		return 0
+	default:
+		return 0
+	}
+}
+
 // applyStage applies one commit's netted changes to the group state and,
 // when emit is set, appends the resulting group-level changes to the
 // aggregate's delta stream at ts: (−1, previous output row) then

@@ -146,106 +146,6 @@ func TestUnionViewValidation(t *testing.T) {
 	}
 }
 
-func TestSummaryViewAggregates(t *testing.T) {
-	env := newEnv(t, chainView("v", 2))
-	r := rand.New(rand.NewSource(91))
-	last := env.randomHistory(r, 60, 3)
-	rp := NewRollingPropagator(env.exec, 0, FixedInterval(8))
-	drainRolling(t, rp, last)
-
-	// Group by r1.k (column 0), SUM over r2.v (column 3).
-	sv, err := NewSummaryView("sum", env.dest, rp.HWM, []int{0}, []int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sv.RollToHWM(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Oracle: aggregate the recomputed view.
-	full, _, err := FullRefresh(env.db, env.view)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type agg struct {
-		count int64
-		sum   float64
-	}
-	want := map[int64]*agg{}
-	for _, row := range full.Rows {
-		k := row.Tuple[0].AsInt()
-		if want[k] == nil {
-			want[k] = &agg{}
-		}
-		want[k].count += row.Count
-		want[k].sum += float64(row.Count) * float64(row.Tuple[3].AsInt())
-	}
-	for k, a := range want {
-		if a.count == 0 {
-			delete(want, k)
-		}
-	}
-
-	rows := sv.Rows()
-	if len(rows) != len(want) {
-		t.Fatalf("groups: got %d want %d", len(rows), len(want))
-	}
-	for _, row := range rows {
-		k := row.Key[0].AsInt()
-		w := want[k]
-		if w == nil || row.Count != w.count || row.Sums[0] != w.sum {
-			t.Fatalf("group %d: got (%d, %.0f) want %+v", k, row.Count, row.Sums[0], w)
-		}
-	}
-	if sv.Groups() != len(want) || sv.MatTime() != rp.HWM() {
-		t.Fatal("metadata")
-	}
-}
-
-func TestSummaryViewPointInTime(t *testing.T) {
-	env := newEnv(t, chainView("v", 2))
-	env.insert("r2", 1)
-	t1 := env.insert("r1", 1)
-	env.insert("r1", 1) // second copy: count 2
-	t3 := env.delete("r1", 1)
-
-	rp := NewRollingPropagator(env.exec, 0, FixedInterval(4))
-	drainRolling(t, rp, t3)
-
-	sv, err := NewSummaryView("s", env.dest, rp.HWM, []int{0}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sv.RollTo(t1); err != nil {
-		t.Fatal(err)
-	}
-	rows := sv.Rows()
-	if len(rows) != 1 || rows[0].Count != 1 {
-		t.Fatalf("at t1: %+v", rows)
-	}
-	if err := sv.RollTo(t3); err != nil {
-		t.Fatal(err)
-	}
-	rows = sv.Rows()
-	if len(rows) != 1 || rows[0].Count != 1 {
-		t.Fatalf("at t3 (2 inserts, 1 delete): %+v", rows)
-	}
-	// Backward and beyond-HWM both refused.
-	if err := sv.RollTo(t1); !errors.Is(err, ErrBackward) {
-		t.Fatal("backward should fail")
-	}
-	if err := sv.RollTo(rp.HWM() + 100); !errors.Is(err, ErrBeyondHWM) {
-		t.Fatal("beyond hwm should fail")
-	}
-}
-
-func TestSummaryViewValidation(t *testing.T) {
-	env := newEnv(t, chainView("v", 2))
-	if _, err := NewSummaryView("bad", env.dest, func() relalg.CSN { return 0 }, []int{99}, nil); err == nil {
-		t.Fatal("bad column should fail")
-	}
-}
-
 func TestAdaptiveIntervalOracle(t *testing.T) {
 	// Rolling propagation driven by the adaptive policy must still satisfy
 	// Theorem 4.3, and the policy must assign the quiet relation a wider

@@ -106,10 +106,6 @@ type DB struct {
 
 	cfg Config
 
-	// forceMaterialize routes EvalQuery through the materializing fallback
-	// instead of the operator pipeline (A/B benching and equivalence tests).
-	forceMaterialize atomic.Bool
-
 	// joinCache enables the resident join-state cache for propagation
 	// queries (ExecutePropagationCached); cache is its registry.
 	joinCache atomic.Bool
@@ -188,20 +184,11 @@ type DB struct {
 	replStats atomic.Pointer[func() ReplStats]
 }
 
-// DefaultForceMaterialize seeds every newly opened DB's force-materialize
-// flag, letting a whole experiment be flipped onto the fallback executor
-// without threading the knob through construction sites.
-var DefaultForceMaterialize = false
-
-// DefaultJoinCache seeds every newly opened DB's join-cache flag, the same
-// way DefaultForceMaterialize seeds the executor fallback. Off by default:
-// the uncached path is the seed behavior and stays available for A/B runs.
+// DefaultJoinCache seeds every newly opened DB's join-cache flag, letting
+// a whole experiment be flipped onto the cache without threading the knob
+// through construction sites. Off by default: the uncached path is the
+// seed behavior and stays available for A/B runs.
 var DefaultJoinCache = false
-
-// SetForceMaterialize toggles between the streaming operator pipeline
-// (false, the default) and the materializing fallback executor (true) for
-// subsequent EvalQuery/StreamQuery calls.
-func (db *DB) SetForceMaterialize(v bool) { db.forceMaterialize.Store(v) }
 
 // SetJoinCache toggles the resident join-state cache for propagation
 // queries. When enabled, eligible queries (base ⋈ delta with capture-backed
@@ -210,11 +197,8 @@ func (db *DB) SetForceMaterialize(v bool) { db.forceMaterialize.Store(v) }
 func (db *DB) SetJoinCache(v bool) { db.joinCache.Store(v) }
 
 // JoinCacheEnabled reports whether the join-state cache should be used for
-// propagation queries. Force-materialize wins: the materializing fallback
-// is the A/B baseline and must not be silently accelerated.
-func (db *DB) JoinCacheEnabled() bool {
-	return db.joinCache.Load() && !db.forceMaterialize.Load()
-}
+// propagation queries.
+func (db *DB) JoinCacheEnabled() bool { return db.joinCache.Load() }
 
 // Open creates a database instance, recovering the log end if the device
 // has prior content.
@@ -265,7 +249,6 @@ func Open(cfg Config) (*DB, error) {
 		partCacheRows: make([]atomic.Int64, nparts),
 		replica:       cfg.Replica,
 	}
-	db.forceMaterialize.Store(DefaultForceMaterialize)
 	db.joinCache.Store(DefaultJoinCache)
 	db.cache = newJoinCache(db)
 	db.horizons = &HorizonLedger{db: db, pins: make(map[string]relalg.CSN)}

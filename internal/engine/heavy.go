@@ -164,7 +164,7 @@ func (db *DB) migrateKey(table, enc string, toHeavy bool) error {
 // payoff of classifying a key heavy: its propagation cost becomes
 // proportional to its delta, not to the shard it hashes into.
 func (db *DB) HeavySliceCached(q *Query) bool {
-	if !db.heavySplit || db.forceMaterialize.Load() {
+	if !db.heavySplit {
 		return false
 	}
 	for _, in := range q.Inputs {

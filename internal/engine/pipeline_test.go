@@ -143,10 +143,10 @@ func TestEvalQueryMatchesMaterializeExec(t *testing.T) {
 			tx.Commit()
 
 			tx = db.Begin()
-			want, err := tx.MaterializeExec(q)
+			want, err := tx.materializeExec(q)
 			if err != nil {
 				tx.Abort()
-				t.Fatalf("%s: MaterializeExec: %v", label, err)
+				t.Fatalf("%s: materializeExec: %v", label, err)
 			}
 			tx.Commit()
 
@@ -191,11 +191,11 @@ func TestIndexProbeVsHashJoinAgreement(t *testing.T) {
 	}
 }
 
-// TestForceMaterializeKnob verifies the A/B switch routes through the
-// fallback executor (visible through the scanned-rows accounting: the
-// fallback materializes the delta window even when it is empty, while the
-// pipeline short-circuits the probe side for an empty build).
-func TestForceMaterializeKnob(t *testing.T) {
+// TestEmptyDeltaWindowScansNothing verifies the pipeline short-circuits
+// the probe side of a join whose build side is an empty delta window: the
+// base table is never scanned (visible through the scanned-rows
+// accounting).
+func TestEmptyDeltaWindowScansNothing(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	db := pipelineDB(t, r, false)
 	q := &Query{
@@ -205,28 +205,18 @@ func TestForceMaterializeKnob(t *testing.T) {
 		},
 		Conds: []JoinCond{{A: ColRef{Input: 0, Col: 0}, B: ColRef{Input: 1, Col: 0}}},
 	}
-	runOnce := func() int64 {
-		before := db.Stats().RowsScanned
-		tx := db.Begin()
-		rel, err := tx.EvalQuery(q)
-		if err != nil {
-			tx.Abort()
-			t.Fatal(err)
-		}
-		tx.Commit()
-		if rel.Len() != 0 {
-			t.Fatalf("empty window join returned %d rows", rel.Len())
-		}
-		return db.Stats().RowsScanned - before
+	before := db.Stats().RowsScanned
+	tx := db.Begin()
+	rel, err := tx.EvalQuery(q)
+	if err != nil {
+		tx.Abort()
+		t.Fatal(err)
 	}
-	pipelineScanned := runOnce()
-	db.SetForceMaterialize(true)
-	materializeScanned := runOnce()
-	db.SetForceMaterialize(false)
-	if pipelineScanned != 0 {
-		t.Fatalf("pipeline scanned %d rows for an identically empty join", pipelineScanned)
+	tx.Commit()
+	if rel.Len() != 0 {
+		t.Fatalf("empty window join returned %d rows", rel.Len())
 	}
-	if materializeScanned == 0 {
-		t.Fatal("force-materialize knob did not route through the fallback executor")
+	if scanned := db.Stats().RowsScanned - before; scanned != 0 {
+		t.Fatalf("pipeline scanned %d rows for an identically empty join", scanned)
 	}
 }

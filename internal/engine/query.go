@@ -97,10 +97,6 @@ type Query struct {
 	// query's execution time is AsOf by construction. The evaluator blocks
 	// until AsOf is stable (commit-publish barrier).
 	AsOf relalg.CSN
-	// LockScans additionally takes the legacy table S locks for an AsOf
-	// query. It changes no results; it exists so the SNAPSHOT benchmark
-	// can isolate the locking cost from the visibility mechanism.
-	LockScans bool
 }
 
 // String renders the query's join list in the paper's notation.
@@ -241,7 +237,7 @@ func (tx *Tx) buildPlan(q *Query, a *exec.Arena) (exec.Operator, *tuple.Schema, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if q.AsOf == relalg.NullTS || q.LockScans {
+	if q.AsOf == relalg.NullTS {
 		if err := tx.lockBases(q); err != nil {
 			return nil, nil, err
 		}
@@ -416,9 +412,6 @@ func (tx *Tx) snapshotFor(q *Query) (*Snapshot, error) {
 // timestamps combine by minimum per the paper's rule.
 func (tx *Tx) EvalQuery(q *Query) (*relalg.Relation, error) {
 	tx.db.coPartition(q)
-	if tx.db.forceMaterialize.Load() {
-		return tx.MaterializeExec(q)
-	}
 	snap, err := tx.snapshotFor(q)
 	if err != nil {
 		return nil, err
@@ -452,16 +445,6 @@ func (tx *Tx) EvalQuery(q *Query) (*relalg.Relation, error) {
 // must copy any rows it keeps. It returns the result row and batch counts.
 func (tx *Tx) StreamQuery(q *Query, sink func(*relalg.Batch) error) (rows, batches int64, err error) {
 	tx.db.coPartition(q)
-	if tx.db.forceMaterialize.Load() {
-		rel, err := tx.MaterializeExec(q)
-		if err != nil {
-			return 0, 0, err
-		}
-		if len(rel.Rows) == 0 {
-			return 0, 0, nil
-		}
-		return int64(len(rel.Rows)), 1, sink(relalg.BatchFromRows(rel.Rows))
-	}
 	snap, err := tx.snapshotFor(q)
 	if err != nil {
 		return 0, 0, err
@@ -483,13 +466,12 @@ func (tx *Tx) StreamQuery(q *Query, sink func(*relalg.Batch) error) (rows, batch
 	return rows, batches, err
 }
 
-// MaterializeExec is the pre-pipeline evaluation path: every input is
+// materializeExec is the pre-pipeline evaluation path: every input is
 // materialized as a relation and the inputs are joined left-deep with
-// hash joins built on the right side. It is kept as a build-tag-free
-// fallback so the planner equivalence tests (and the perf A/B in
-// cmd/rollbench) can compare the operator pipeline against it; production
-// callers go through EvalQuery.
-func (tx *Tx) MaterializeExec(q *Query) (*relalg.Relation, error) {
+// hash joins built on the right side. It is the planner's reference
+// implementation: the equivalence tests compare the operator pipeline
+// against it. Production callers go through EvalQuery.
+func (tx *Tx) materializeExec(q *Query) (*relalg.Relation, error) {
 	db := tx.db
 	db.coPartition(q)
 	db.addQuery()
@@ -504,7 +486,7 @@ func (tx *Tx) MaterializeExec(q *Query) (*relalg.Relation, error) {
 	if snap != nil {
 		defer snap.Close()
 	}
-	if q.AsOf == relalg.NullTS || q.LockScans {
+	if q.AsOf == relalg.NullTS {
 		if err := tx.lockBases(q); err != nil {
 			return nil, err
 		}

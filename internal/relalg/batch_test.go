@@ -27,17 +27,12 @@ func fillBatch(b *Batch, rows []Row) {
 	}
 }
 
-func eachLayout(t *testing.T, fn func(t *testing.T, newBatch func(int) *Batch)) {
-	t.Run("columnar", func(t *testing.T) {
-		fn(t, func(c int) *Batch {
-			return &Batch{ncols: -1, counts: make([]int64, 0, c), tss: make([]CSN, 0, c)}
-		})
-	})
-	t.Run("row", func(t *testing.T) { fn(t, NewRowBatch) })
+func runColumnar(t *testing.T, fn func(t *testing.T, newBatch func(int) *Batch)) {
+	t.Run("columnar", func(t *testing.T) { fn(t, NewBatch) })
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	runColumnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		b := newBatch(2)
 		fillBatch(b, rows)
@@ -77,7 +72,7 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestBatchAppendDecodedRow(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	runColumnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		var enc []byte
 		for _, r := range rows {
@@ -103,14 +98,14 @@ func TestBatchAppendDecodedRow(t *testing.T) {
 				t.Fatalf("row %d count/ts mismatch", i)
 			}
 		}
-		if _, err := b.AppendDecodedRow(tuple.EncodeRow(nil, tuple.Tuple{tuple.Int(1)}), 1, 1); err == nil && !b.rowMode {
+		if _, err := b.AppendDecodedRow(tuple.EncodeRow(nil, tuple.Tuple{tuple.Int(1)}), 1, 1); err == nil {
 			t.Fatal("arity mismatch not rejected")
 		}
 	})
 }
 
 func TestBatchRetainSelection(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	runColumnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		b := newBatch(8)
 		for i := 0; i < 8; i++ {
 			b.Add(tuple.Tuple{tuple.Int(int64(i))}, 1, CSN(i))
@@ -164,7 +159,7 @@ func TestBatchRetainSelection(t *testing.T) {
 }
 
 func TestBatchProjectInPlace(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	runColumnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		for _, idx := range [][]int{{1, 0}, {2}, {1, 1, 0}, {4, 3, 2, 1, 0}} {
 			b := newBatch(4)
@@ -217,7 +212,7 @@ func TestBatchProjectThenWiderRefill(t *testing.T) {
 }
 
 func TestBatchJoinAppends(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	runColumnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		l := newBatch(2)
 		l.Add(tuple.Tuple{tuple.Int(1), tuple.String_("a")}, 2, 9)
 		r := newBatch(2)
@@ -264,7 +259,7 @@ func TestBatchDictReuseAcrossReset(t *testing.T) {
 }
 
 func TestHashTableMatchesReferenceJoin(t *testing.T) {
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	runColumnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		build := testRows()
 		probes := []tuple.Tuple{
 			{tuple.String_("red"), tuple.Int(0)},
@@ -344,7 +339,7 @@ func TestFilterBatchMatchesEval(t *testing.T) {
 		Or{ColConst{Col: 0, Op: OpEQ, Val: tuple.Int(2)}, ColConst{Col: 3, Op: OpEQ, Val: tuple.Bool(true)}},
 		Not{P: ColConst{Col: 0, Op: OpLT, Val: tuple.Int(0)}},
 	}
-	eachLayout(t, func(t *testing.T, newBatch func(int) *Batch) {
+	runColumnar(t, func(t *testing.T, newBatch func(int) *Batch) {
 		rows := testRows()
 		for _, p := range preds {
 			b := newBatch(4)

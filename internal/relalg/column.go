@@ -200,12 +200,6 @@ func (c *column) bytesAt(slot int32) []byte {
 	return c.bbuf[start:c.bends[slot]]
 }
 
-func (c *column) kindAt(i int) tuple.Kind { return tuple.Kind(c.kinds[i]) }
-
-func (c *column) isNull(i int) bool {
-	return c.nulls[i>>6]&(1<<(uint(i)&63)) != 0
-}
-
 func (c *column) valueAt(i int) tuple.Value {
 	switch tuple.Kind(c.kinds[i]) {
 	case tuple.KindBool:

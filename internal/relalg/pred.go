@@ -166,9 +166,9 @@ func (True) String() string { return "true" }
 // vectorized counterpart of per-row Predicate.Eval. Conjunctions narrow
 // the selection once per conjunct; leaf comparisons over uniform typed
 // columns run as dense typed loops against the column payloads, and
-// everything else (row-layout batches, mixed-kind columns, Or/Not trees)
-// falls back to tuple.Compare semantics row by row, so both paths accept
-// exactly the rows Eval would.
+// everything else (mixed-kind columns, Or/Not trees) falls back to
+// tuple.Compare semantics row by row, so both paths accept exactly the
+// rows Eval would.
 func FilterBatch(p Predicate, b *Batch) {
 	switch q := p.(type) {
 	case True:
@@ -179,19 +179,15 @@ func FilterBatch(p Predicate, b *Batch) {
 		}
 		return
 	case ColConst:
-		if !b.rowMode && b.ncols > q.Col {
+		if b.ncols > q.Col {
 			filterColConst(q, b)
 			return
 		}
 	case ColCol:
-		if !b.rowMode && b.ncols > q.ColA && b.ncols > q.ColB {
+		if b.ncols > q.ColA && b.ncols > q.ColB {
 			filterColCol(q, b)
 			return
 		}
-	}
-	if b.rowMode {
-		b.Retain(func(i int) bool { return p.Eval(b.rows[b.phys(i)].Tuple) })
-		return
 	}
 	b.Retain(func(i int) bool {
 		b.scratch = b.tupleInto(b.scratch, i)

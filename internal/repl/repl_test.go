@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -490,5 +491,167 @@ func TestTailerDivergenceFailStop(t *testing.T) {
 	// The replica kept its consistent prefix.
 	if follower.AppliedCSN() != applied {
 		t.Fatalf("follower applied CSN moved: %d != %d", follower.AppliedCSN(), applied)
+	}
+}
+
+func TestQueryEndpoint(t *testing.T) {
+	leader, err := rollingjoin.Open(rollingjoin.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	testSchema(t, leader)
+	srv := httptest.NewServer(NewServer(leader).Handler())
+	defer srv.Close()
+
+	for i := 0; i < 12; i++ {
+		if _, err := leader.Update(func(tx *rollingjoin.Tx) error {
+			if err := tx.Insert("users", rollingjoin.Int(int64(i)), rollingjoin.Str(fmt.Sprintf("u%d", i))); err != nil {
+				return err
+			}
+			return tx.Insert("orders", rollingjoin.Int(int64(i%5)), rollingjoin.Int(int64(i*3)))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	body := `{"tables":["users","orders"],
+		"joins":[{"leftTable":"users","leftColumn":"id","rightTable":"orders","rightColumn":"uid"}],
+		"filters":[{"table":"orders","column":"amount","op":"ge","value":{"i":10}}],
+		"output":[{"table":"users","column":"name"},{"table":"orders","column":"amount"}]}`
+	resp, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader([]byte(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query: status %d", resp.StatusCode)
+	}
+	var rr struct {
+		Columns []string            `json:"columns"`
+		Rows    [][]json.RawMessage `json:"rows"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]rollingjoin.Tuple, len(rr.Rows))
+	for i, raw := range rr.Rows {
+		row, err := DecodeRow(raw)
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
+		}
+		got[i] = rollingjoin.Tuple(row)
+	}
+
+	want, err := leader.Query(rollingjoin.ViewSpec{
+		Tables: []string{"users", "orders"},
+		Joins: []rollingjoin.Join{{
+			LeftTable: "users", LeftColumn: "id",
+			RightTable: "orders", RightColumn: "uid",
+		}},
+		Filters: []rollingjoin.Filter{{
+			Table: "orders", Column: "amount", Op: rollingjoin.GE, Value: rollingjoin.Int(10),
+		}},
+		Output: []rollingjoin.OutCol{
+			{Table: "users", Column: "name"},
+			{Table: "orders", Column: "amount"},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rr.Columns, want.Columns) {
+		t.Fatalf("columns %v, want %v", rr.Columns, want.Columns)
+	}
+	genc, wenc := encodeSorted(got), encodeSorted(want.Rows)
+	if len(wenc) == 0 {
+		t.Fatal("empty result — workload did not exercise the join")
+	}
+	if !slices.Equal(genc, wenc) {
+		t.Fatalf("HTTP query rows differ from db.Query:\nhttp %q\ndb   %q", genc, wenc)
+	}
+
+	bad, err := http.Post(srv.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{"tables":`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("malformed query body: status %d; want 400", bad.StatusCode)
+	}
+}
+
+func TestStatusEndpoint(t *testing.T) {
+	getStatus := func(t *testing.T, url string) StatusResponse {
+		t.Helper()
+		resp, err := http.Get(url + "/v1/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status: HTTP %d", resp.StatusCode)
+		}
+		var st StatusResponse
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	leader, err := rollingjoin.Open(rollingjoin.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer leader.Close()
+	lv := testSchema(t, leader)
+	lsrv := httptest.NewServer(NewServer(leader).Handler())
+	defer lsrv.Close()
+	var last rollingjoin.CSN
+	for i := 0; i < 5; i++ {
+		if last, err = leader.Update(func(tx *rollingjoin.Tx) error {
+			return tx.Insert("users", rollingjoin.Int(int64(i)), rollingjoin.Str("u"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lv.WaitForHWM(last)
+
+	// Background propagation may still advance both clocks, so each
+	// reported position must lie between readings taken around the call.
+	csnBefore, hwmBefore := leader.LastCSN(), lv.HWM()
+	st := getStatus(t, lsrv.URL)
+	csnAfter, hwmAfter := leader.LastCSN(), lv.HWM()
+	if st.Role != "leader" {
+		t.Fatalf("leader role %q", st.Role)
+	}
+	if st.LastCSN < int64(csnBefore) || st.LastCSN > int64(csnAfter) {
+		t.Fatalf("leader lastCSN %d outside [%d, %d]", st.LastCSN, csnBefore, csnAfter)
+	}
+	vs, ok := st.Views["big"]
+	if !ok || len(st.Views) != 1 {
+		t.Fatalf("leader views %+v, want exactly big", st.Views)
+	}
+	if vs.HWM < int64(hwmBefore) || vs.HWM > int64(hwmAfter) || vs.HWM < int64(last) {
+		t.Fatalf("leader view hwm %d outside [%d, %d] or below last commit %d", vs.HWM, hwmBefore, hwmAfter, last)
+	}
+
+	follower, err := rollingjoin.Open(rollingjoin.Options{Follower: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	fv := testSchema(t, follower)
+	fsrv := httptest.NewServer(NewServer(follower).Handler())
+	defer fsrv.Close()
+	fst := getStatus(t, fsrv.URL)
+	if fst.Role != "follower" {
+		t.Fatalf("follower role %q", fst.Role)
+	}
+	if fst.LastCSN != int64(follower.LastCSN()) {
+		t.Fatalf("follower lastCSN %d, want %d", fst.LastCSN, follower.LastCSN())
+	}
+	if fvs, ok := fst.Views["big"]; !ok || fvs.HWM != int64(fv.HWM()) {
+		t.Fatalf("follower views %+v, want big at hwm %d", fst.Views, fv.HWM())
 	}
 }

@@ -103,21 +103,10 @@ type CreateView struct {
 
 func (*CreateView) stmt() {}
 
-// CreateSummary is CREATE SUMMARY name OF view GROUP BY cols [SUM (cols)].
-type CreateSummary struct {
-	Name    string
-	View    string
-	GroupBy []string
-	Sums    []string
-}
-
-func (*CreateSummary) stmt() {}
-
-// Refresh is REFRESH VIEW name [TO COMMIT n] / REFRESH SUMMARY name [...].
+// Refresh is REFRESH VIEW name [TO COMMIT n].
 type Refresh struct {
-	Name    string
-	Summary bool
-	ToCSN   int64 // -1 when absent
+	Name  string
+	ToCSN int64 // -1 when absent
 }
 
 func (*Refresh) stmt() {}

@@ -61,24 +61,17 @@ func (r *Result) String() string {
 }
 
 // Session executes statements against a rollingjoin database. It tracks
-// summaries by name (the facade does not register them).
+// union views by name (the facade does not register them).
 type Session struct {
-	DB        *rollingjoin.DB
-	summaries map[string]*sessionSummary
-	unions    map[string]*rollingjoin.UnionView
-}
-
-type sessionSummary struct {
-	sum  *rollingjoin.Summary
-	view *rollingjoin.View
+	DB     *rollingjoin.DB
+	unions map[string]*rollingjoin.UnionView
 }
 
 // NewSession creates a session.
 func NewSession(db *rollingjoin.DB) *Session {
 	return &Session{
-		DB:        db,
-		summaries: make(map[string]*sessionSummary),
-		unions:    make(map[string]*rollingjoin.UnionView),
+		DB:     db,
+		unions: make(map[string]*rollingjoin.UnionView),
 	}
 }
 
@@ -112,8 +105,6 @@ func (s *Session) execStmt(stmt Statement) (*Result, error) {
 		return s.selectStmt(st)
 	case *CreateView:
 		return s.createView(st)
-	case *CreateSummary:
-		return s.createSummary(st)
 	case *Refresh:
 		return s.refresh(st)
 	case *DropView:
@@ -652,47 +643,7 @@ func (s *Session) createAggregate(st *CreateView, q *Select, opt rollingjoin.Mai
 	return &Result{Message: fmt.Sprintf("materialized aggregate %s created over %s", st.Name, src)}, nil
 }
 
-func (s *Session) createSummary(st *CreateSummary) (*Result, error) {
-	v, ok := s.DB.View(st.View)
-	if !ok {
-		return nil, fmt.Errorf("sql: no view %q", st.View)
-	}
-	if _, dup := s.summaries[st.Name]; dup {
-		return nil, fmt.Errorf("sql: summary %q already exists", st.Name)
-	}
-	sum, err := v.DefineSummary(st.Name, st.GroupBy, st.Sums)
-	if err != nil {
-		return nil, err
-	}
-	s.summaries[st.Name] = &sessionSummary{sum: sum, view: v}
-	return &Result{Message: fmt.Sprintf("summary %s created over view %s", st.Name, st.View)}, nil
-}
-
 func (s *Session) refresh(st *Refresh) (*Result, error) {
-	if st.Summary {
-		ss, ok := s.summaries[st.Name]
-		if !ok {
-			return nil, fmt.Errorf("sql: no summary %q", st.Name)
-		}
-		if st.ToCSN >= 0 {
-			if err := ss.view.CatchUp(rollingjoin.CSN(st.ToCSN)); err != nil {
-				return nil, err
-			}
-			if err := ss.sum.RefreshTo(rollingjoin.CSN(st.ToCSN)); err != nil {
-				return nil, err
-			}
-			return &Result{Message: fmt.Sprintf("summary %s refreshed to commit %d", st.Name, st.ToCSN)}, nil
-		}
-		// "Refresh to now": catch propagation up to the current commit first.
-		if err := ss.view.CatchUp(s.DB.LastCSN()); err != nil {
-			return nil, err
-		}
-		csn, err := ss.sum.Refresh()
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Message: fmt.Sprintf("summary %s refreshed to commit %d", st.Name, csn)}, nil
-	}
 	type refreshable interface {
 		CatchUp(rollingjoin.CSN) error
 		RefreshTo(rollingjoin.CSN) error

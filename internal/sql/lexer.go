@@ -51,7 +51,7 @@ var keywords = map[string]bool{
 	"INT": true, "BIGINT": true, "FLOAT": true, "DOUBLE": true, "TEXT": true,
 	"STRING": true, "VARCHAR": true, "BOOL": true, "BOOLEAN": true,
 	"BYTES": true, "BLOB": true, "STATS": true, "MANUAL": true, "STEPWISE": true,
-	"SUMMARY": true, "OF": true, "GROUP": true, "BY": true, "SUM": true,
+	"GROUP": true, "BY": true, "SUM": true,
 	"COUNT": true, "AVG": true, "MIN": true, "MAX": true,
 	"COMMIT": true, "AT": true, "UNION": true,
 }

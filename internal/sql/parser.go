@@ -124,10 +124,8 @@ func (p *parser) statement() (Statement, error) {
 				return nil, err
 			}
 			return p.createView()
-		case p.acceptKeyword("SUMMARY"):
-			return p.createSummary()
 		default:
-			return nil, p.errf("expected TABLE, MATERIALIZED VIEW, or SUMMARY after CREATE")
+			return nil, p.errf("expected TABLE or MATERIALIZED VIEW after CREATE")
 		}
 	case p.acceptKeyword("INSERT"):
 		return p.insert()
@@ -586,66 +584,10 @@ func (p *parser) number() (int64, error) {
 	return n, nil
 }
 
-func (p *parser) createSummary() (Statement, error) {
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("OF"); err != nil {
-		return nil, err
-	}
-	view, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("GROUP"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("BY"); err != nil {
-		return nil, err
-	}
-	cs := &CreateSummary{Name: name, View: view}
-	for {
-		col, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		cs.GroupBy = append(cs.GroupBy, col)
-		if p.acceptPunct(",") {
-			continue
-		}
-		break
-	}
-	if p.acceptKeyword("SUM") {
-		if _, err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		for {
-			col, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			cs.Sums = append(cs.Sums, col)
-			if p.acceptPunct(",") {
-				continue
-			}
-			break
-		}
-		if _, err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-	}
-	return cs, nil
-}
-
 func (p *parser) refresh() (Statement, error) {
 	r := &Refresh{ToCSN: -1}
-	switch {
-	case p.acceptKeyword("VIEW"):
-	case p.acceptKeyword("SUMMARY"):
-		r.Summary = true
-	default:
-		return nil, p.errf("expected VIEW or SUMMARY after REFRESH")
+	if !p.acceptKeyword("VIEW") {
+		return nil, p.errf("expected VIEW after REFRESH")
 	}
 	name, err := p.ident()
 	if err != nil {

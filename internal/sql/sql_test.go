@@ -137,29 +137,31 @@ func TestParseCreateView(t *testing.T) {
 	}
 }
 
+// TestParseSummaryRefreshShow checks REFRESH VIEW and SHOW parse, and
+// that the summary statements are not part of the dialect: aggregates are
+// CREATE MATERIALIZED VIEW ... GROUP BY and refresh through REFRESH VIEW.
 func TestParseSummaryRefreshShow(t *testing.T) {
-	st, err := Parse("CREATE SUMMARY s OF v GROUP BY item, region SUM (price, qty)")
+	for _, q := range []string{
+		"CREATE SUMMARY s OF v GROUP BY item, region SUM (price, qty)",
+		"REFRESH SUMMARY s",
+	} {
+		if _, err := Parse(q); err == nil {
+			t.Fatalf("%s: parsed", q)
+		}
+	}
+	st, err := Parse("REFRESH VIEW v TO COMMIT 42")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := st.(*CreateSummary)
-	if cs.View != "v" || len(cs.GroupBy) != 2 || len(cs.Sums) != 2 {
-		t.Fatalf("%+v", cs)
-	}
-	st2, err := Parse("REFRESH VIEW v TO COMMIT 42")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := st2.(*Refresh)
-	if r.Name != "v" || r.Summary || r.ToCSN != 42 {
+	if r := st.(*Refresh); r.Name != "v" || r.ToCSN != 42 {
 		t.Fatalf("%+v", r)
 	}
-	st3, err := Parse("REFRESH SUMMARY s")
+	st, err = Parse("REFRESH VIEW v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st3.(*Refresh).Summary || st3.(*Refresh).ToCSN != -1 {
-		t.Fatal("summary refresh")
+	if r := st.(*Refresh); r.ToCSN != -1 {
+		t.Fatalf("%+v", r)
 	}
 	for _, q := range []string{"SHOW TABLES", "SHOW VIEWS", "SHOW STATS v"} {
 		if _, err := Parse(q); err != nil {
@@ -287,34 +289,6 @@ func TestEndToEndSQL(t *testing.T) {
 	}
 }
 
-func TestSQLSummary(t *testing.T) {
-	s := newSession(t)
-	mustExec(t, s, `
-		CREATE TABLE orders (id INT, item TEXT);
-		CREATE TABLE items (item TEXT, price INT);
-		INSERT INTO items VALUES ('ball', 5), ('bat', 20);
-		CREATE MATERIALIZED VIEW op AS
-			SELECT o.id, o.item, i.price FROM orders o JOIN items i ON o.item = i.item
-			WITH INTERVAL 2;
-		CREATE SUMMARY rev OF op GROUP BY item SUM (price);
-		INSERT INTO orders VALUES (1, 'ball'), (2, 'ball'), (3, 'bat');
-	`)
-	v, _ := s.DB.View("op")
-	v.WaitForHWM(s.DB.LastCSN())
-	mustExec(t, s, "REFRESH SUMMARY rev")
-	sum := s.summaries["rev"].sum
-	rows := sum.Rows()
-	if len(rows) != 2 || rows[0].Count != 2 || rows[0].Sums[0] != 10 {
-		t.Fatalf("summary rows: %+v", rows)
-	}
-	if _, err := s.Exec("CREATE SUMMARY rev OF op GROUP BY item"); err == nil {
-		t.Fatal("duplicate summary should fail")
-	}
-	if _, err := s.Exec("REFRESH SUMMARY ghost"); err == nil {
-		t.Fatal("missing summary should fail")
-	}
-}
-
 func TestSQLErrors(t *testing.T) {
 	s := newSession(t)
 	mustExec(t, s, "CREATE TABLE t (a INT, b INT)")
@@ -327,7 +301,6 @@ func TestSQLErrors(t *testing.T) {
 		"SELECT ghost FROM t",                 // unknown column
 		"REFRESH VIEW ghost",                  // missing view
 		"SHOW STATS ghost",                    // missing view
-		"CREATE SUMMARY s OF ghost GROUP BY a",
 	}
 	for _, q := range bad {
 		if _, err := s.Exec(q); err == nil {

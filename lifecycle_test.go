@@ -109,7 +109,8 @@ func runOrderWriters(t *testing.T, db *DB, workers, txns int) CSN {
 }
 
 // TestRuntimeManyViews runs plain views (rolling and stepwise, one with
-// AutoRefresh), a union view, and an auto-refreshed summary — all on the
+// AutoRefresh), a union view, and an auto-refreshed aggregate over a view
+// (COUNT plus SUM) — all on the
 // shared scheduler — under concurrent writers, then drains and verifies
 // every one against a fresh recomputation oracle.
 func TestRuntimeManyViews(t *testing.T) {
@@ -139,11 +140,15 @@ func TestRuntimeManyViews(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sum, err := views[0].DefineSummary("many_rev", []string{"item"}, []string{"price"})
+	sum, err := db.DefineAggregate(AggSpec{
+		Name:    "many_rev",
+		Source:  views[0].Name(),
+		GroupBy: []string{"item"},
+		Aggs:    []Agg{{Func: AggCount}, {Func: AggSum, Column: "price"}},
+	}, Maintain{AutoRefresh: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum.StartAutoRefresh()
 
 	last := runOrderWriters(t, db, 3, 90)
 
@@ -177,7 +182,7 @@ func TestRuntimeManyViews(t *testing.T) {
 		t.Fatalf("union view diverged from oracle")
 	}
 
-	// The auto-refreshed summary converges without an explicit Refresh.
+	// The auto-refreshed aggregate converges without an explicit Refresh.
 	wantCount := make(map[string]int64)
 	var wantSum map[string]float64 = map[string]float64{}
 	for _, r := range oracle.Rows {
@@ -190,7 +195,7 @@ func TestRuntimeManyViews(t *testing.T) {
 		rows := sum.Rows()
 		okAll := len(rows) == len(wantCount)
 		for _, r := range rows {
-			if wantCount[r.Key[0].AsString()] != r.Count || wantSum[r.Key[0].AsString()] != r.Sums[0] {
+			if item := r[0].AsString(); wantCount[item] != r[1].AsInt() || wantSum[item] != r[2].AsFloat() {
 				okAll = false
 			}
 		}
@@ -198,7 +203,7 @@ func TestRuntimeManyViews(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("auto-refreshed summary did not converge: %+v (want counts %v)", rows, wantCount)
+			t.Fatalf("auto-refreshed aggregate did not converge: %+v (want counts %v)", rows, wantCount)
 		}
 		time.Sleep(time.Millisecond)
 	}

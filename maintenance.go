@@ -30,9 +30,9 @@ func classifyMaintenance(err error) sched.Outcome {
 }
 
 // maintained is the one maintenance lifecycle in the package: a thin
-// handle over jobs on the DB's scheduler. View, UnionView, and Summary
-// embed or reference it instead of carrying their own goroutine loops —
-// start/stop are idempotent and safe under concurrent churn, Stop drains
+// handle over jobs on the DB's scheduler. View, UnionView, and
+// AggregateView embed or reference it instead of carrying their own
+// goroutine loops — start/stop are idempotent and safe under concurrent churn, Stop drains
 // the in-flight step, and waits are event-driven (no sleep polling).
 type maintained struct {
 	db    *DB
@@ -240,21 +240,6 @@ func applyStep(a *core.Applier) func() error {
 	return func() error {
 		before := a.View().MatTime()
 		t, err := a.RollToHWM()
-		if err != nil {
-			return err
-		}
-		if t <= before {
-			return core.ErrNoProgress
-		}
-		return nil
-	}
-}
-
-// summaryStep adapts a SummaryView the same way.
-func summaryStep(sv *core.SummaryView) func() error {
-	return func() error {
-		before := sv.MatTime()
-		t, err := sv.RollToHWM()
 		if err != nil {
 			return err
 		}

@@ -87,7 +87,8 @@ func TestFoldReclaimsDeltaPrefix(t *testing.T) {
 
 // TestBackgroundFoldBoundsCardinality runs the low-priority fold job
 // against a sustained insert stream and checks delta cardinality stays
-// bounded instead of tracking total ingest.
+// bounded instead of tracking total ingest, for a join view and for an
+// aggregate over it.
 func TestBackgroundFoldBoundsCardinality(t *testing.T) {
 	db := newTestDB(t, Options{FoldDeltas: true})
 	if _, err := db.Update(func(tx *Tx) error {
@@ -101,6 +102,15 @@ func TestBackgroundFoldBoundsCardinality(t *testing.T) {
 		t.Fatal(err)
 	}
 	view, err := db.DefineView(orderPricesSpec(), Maintain{Interval: 1, AutoRefresh: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := db.DefineAggregate(AggSpec{
+		Name:    "revenue",
+		Source:  view.Name(),
+		GroupBy: []string{"item"},
+		Aggs:    []Agg{{Func: AggCount}, {Func: AggSum, Column: "price"}},
+	}, Maintain{AutoRefresh: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +128,12 @@ func TestBackgroundFoldBoundsCardinality(t *testing.T) {
 	if _, err := view.Refresh(); err != nil {
 		t.Fatal(err)
 	}
+	if err := agg.CatchUp(last); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agg.Refresh(); err != nil {
+		t.Fatal(err)
+	}
 	// Give the background job a chance to fold behind the refreshed view.
 	d, _ := db.Engine().Delta("orders")
 	deadline := time.Now().Add(5 * time.Second)
@@ -130,13 +146,43 @@ func TestBackgroundFoldBoundsCardinality(t *testing.T) {
 	if st := db.Engine().Stats(); st.FoldedRows == 0 {
 		t.Fatal("FoldedRows not accounted by background job")
 	}
-	// Correctness is untouched: view == recomputation.
+	// The aggregate emits a group change per commit (2n-3 rows in all);
+	// the fold job must reclaim its applied prefix too.
+	for agg.Stats().DeltaRowsPending >= n {
+		if time.Now().After(deadline) {
+			t.Fatalf("background fold never reclaimed: aggregate delta at %d rows after %d inserts", agg.Stats().DeltaRowsPending, n)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// Everything at or below the aggregate's MatTime is applied and has
+	// no downstream reader, so an explicit prune leaves nothing pending.
+	agg.PruneApplied()
+	if pending := agg.Stats().DeltaRowsPending; pending != 0 {
+		t.Fatalf("aggregate delta at %d rows after PruneApplied at MatTime %d", pending, agg.MatTime())
+	}
+	// Correctness is untouched: view and aggregate == recomputation.
 	full, err := db.Query(orderPricesSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := multiset(view.Rows()), multiset(full.Rows); !multisetsEqual(got, want) {
 		t.Fatalf("view diverged under background folding:\n view: %v\n full: %v", got, want)
+	}
+	wantCount := make(map[string]int64)
+	wantSum := make(map[string]float64)
+	for _, r := range full.Rows {
+		wantCount[r[1].AsString()]++
+		wantSum[r[1].AsString()] += float64(r[3].AsInt())
+	}
+	rows := agg.Rows()
+	if len(rows) != len(wantCount) {
+		t.Fatalf("aggregate has %d groups, recomputation %d", len(rows), len(wantCount))
+	}
+	for _, r := range rows {
+		item := r[0].AsString()
+		if r[1].AsInt() != wantCount[item] || r[2].AsFloat() != wantSum[item] {
+			t.Fatalf("aggregate group %s = (%d, %v), recomputation (%d, %v)", item, r[1].AsInt(), r[2].AsFloat(), wantCount[item], wantSum[item])
+		}
 	}
 }
 
