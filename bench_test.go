@@ -113,15 +113,6 @@ func BenchmarkA2AdaptiveIntervals(b *testing.B) {
 	runExperiment(b, func() (*metrics.Table, error) { return bench.A2(quick) })
 }
 
-// BenchmarkCacheAB compares cached, indexed, and full-scan rolling
-// propagation on the star-schema workload.
-func BenchmarkCacheAB(b *testing.B) {
-	runExperiment(b, func() (*metrics.Table, error) {
-		tbl, _, err := bench.CacheAB(quick)
-		return tbl, err
-	})
-}
-
 // --- micro-benchmarks on the core machinery ---
 
 // BenchmarkPropagationStep measures one rolling forward step (query
@@ -132,35 +123,6 @@ func BenchmarkPropagationStep(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer env.Close()
-	d := workload.NewDriver(env.DB, env.W, 2)
-	rp := core.NewRollingPropagator(env.Exec, 0, core.FixedInterval(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		last, err := d.Run(4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := env.Cap.WaitProgress(last); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := rp.Step(); err != nil && err != core.ErrNoProgress {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPropagationStepCached is BenchmarkPropagationStep with the
-// join-state cache enabled: forward steps probe resident indexes instead of
-// scanning the base tables under locks.
-func BenchmarkPropagationStepCached(b *testing.B) {
-	env, err := bench.NewEnvBare(workload.Chain(2, 1000, 100), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer env.Close()
-	env.DB.SetJoinCache(true)
 	d := workload.NewDriver(env.DB, env.W, 2)
 	rp := core.NewRollingPropagator(env.Exec, 0, core.FixedInterval(4))
 	b.ResetTimer()

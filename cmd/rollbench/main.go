@@ -32,24 +32,20 @@ type experiment struct {
 
 // experimentResult is one experiment's machine-readable record.
 type experimentResult struct {
-	ID             string `json:"id"`
-	Desc           string `json:"desc"`
-	OK             bool   `json:"ok"`
-	Ns             int64  `json:"ns"`
-	RowsScanned    int64  `json:"rows_scanned"`
-	RowsJoined     int64  `json:"rows_joined"`
-	QueriesRun     int64  `json:"queries_run"`
-	IndexProbes    int64  `json:"index_probes"`
-	CacheHits      int64  `json:"cache_hits,omitempty"`
-	CacheMisses    int64  `json:"cache_misses,omitempty"`
-	CacheMaintRows int64  `json:"cache_maint_rows,omitempty"`
+	ID          string `json:"id"`
+	Desc        string `json:"desc"`
+	OK          bool   `json:"ok"`
+	Ns          int64  `json:"ns"`
+	RowsScanned int64  `json:"rows_scanned"`
+	RowsJoined  int64  `json:"rows_joined"`
+	QueriesRun  int64  `json:"queries_run"`
+	IndexProbes int64  `json:"index_probes"`
 }
 
 // report is the top-level BENCH_rollbench.json document.
 type report struct {
 	Quick       bool                     `json:"quick"`
 	Experiments []experimentResult       `json:"experiments"`
-	CacheAB     []bench.CacheABEntry     `json:"cache_ab,omitempty"`
 	PartitionAB []bench.PartitionABEntry `json:"partition_ab,omitempty"`
 	CascadeAB   []bench.CascadeABEntry   `json:"cascade_ab,omitempty"`
 	CompactAB   []bench.CompactABEntry   `json:"compact_ab,omitempty"`
@@ -63,7 +59,6 @@ func main() {
 	flag.Parse()
 	scale := bench.Scale{Quick: *quick}
 
-	var cacheEntries []bench.CacheABEntry
 	var partitionEntries []bench.PartitionABEntry
 	var cascadeEntries []bench.CascadeABEntry
 	var compactEntries []bench.CompactABEntry
@@ -94,13 +89,7 @@ func main() {
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A1(s) }},
 		{"A2", "ablation: fixed vs adaptive propagation intervals",
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A2(s) }},
-		{"CACHE", "join-state cache vs scan and index propagation",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.CacheAB(s)
-				cacheEntries = entries
-				return tbl, err
-			}},
-		{"PARTITION", "1 vs N partitions vs N+heavy/light on a skewed star schema",
+		{"PARTITION", "1 vs N hash partitions on a skewed star schema",
 			func(s bench.Scale) (fmt.Stringer, error) {
 				tbl, entries, err := bench.PartitionAB(s)
 				partitionEntries = entries
@@ -129,7 +118,7 @@ func main() {
 		for _, id := range strings.Split(*run, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
 			if !known[id] {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 CACHE PARTITION CASCADE COMPACT)\n", id)
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 PARTITION CASCADE COMPACT)\n", id)
 				os.Exit(2)
 			}
 			selected[id] = true
@@ -151,17 +140,14 @@ func main() {
 		}
 		c := bench.Counters()
 		rep.Experiments = append(rep.Experiments, experimentResult{
-			ID:             e.id,
-			Desc:           e.desc,
-			OK:             err == nil,
-			Ns:             elapsed.Nanoseconds(),
-			RowsScanned:    c.RowsScanned,
-			RowsJoined:     c.RowsJoined,
-			QueriesRun:     c.QueriesRun,
-			IndexProbes:    c.IndexProbes,
-			CacheHits:      c.CacheHits,
-			CacheMisses:    c.CacheMisses,
-			CacheMaintRows: c.CacheMaintRows,
+			ID:          e.id,
+			Desc:        e.desc,
+			OK:          err == nil,
+			Ns:          elapsed.Nanoseconds(),
+			RowsScanned: c.RowsScanned,
+			RowsJoined:  c.RowsJoined,
+			QueriesRun:  c.QueriesRun,
+			IndexProbes: c.IndexProbes,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s FAILED: %v\n", e.id, err)
@@ -170,7 +156,6 @@ func main() {
 			fmt.Printf("(%s verified in %s)\n\n", e.id, elapsed.Round(time.Millisecond))
 		}
 	}
-	rep.CacheAB = cacheEntries
 	rep.PartitionAB = partitionEntries
 	rep.CascadeAB = cascadeEntries
 	rep.CompactAB = compactEntries

@@ -40,7 +40,6 @@ func main() {
 	interval := flag.Int64("interval", 16, "propagation interval (commits)")
 	adaptive := flag.Int("adaptive", 0, "adaptive target rows per query (0 = fixed interval)")
 	indexed := flag.Bool("index", false, "create hash indexes on the join columns")
-	cached := flag.Bool("cache", false, "enable the join-state cache for propagation queries")
 	workers := flag.Int("workers", 1, "concurrent propagation queries per view (worker pool size)")
 	partitions := flag.Int("partitions", 0, "hash partitions per base table (0 = ROLLINGJOIN_PARTITIONS env, then 1)")
 	batch := flag.Int("batch", 0, "executor batch size in rows (0 = ROLLINGJOIN_BATCH env, then 256)")
@@ -67,7 +66,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*kind, *n, *dims, *rows, *updates, *views, *maint, *interval, *adaptive, *indexed, *cached, *workers, *partitions, *batch, *skew, *report, *seed, *faults); err != nil {
+	if err := run(*kind, *n, *dims, *rows, *updates, *views, *maint, *interval, *adaptive, *indexed, *workers, *partitions, *batch, *skew, *report, *seed, *faults); err != nil {
 		fmt.Fprintln(os.Stderr, "rollload:", err)
 		os.Exit(1)
 	}
@@ -98,7 +97,7 @@ func classify(err error) sched.Outcome {
 	}
 }
 
-func run(kind string, n, dims, rows, updates, views, maint int, interval int64, adaptive int, indexed, cached bool, workers, partitions, batch int, skew float64, report time.Duration, seed, faults int64) error {
+func run(kind string, n, dims, rows, updates, views, maint int, interval int64, adaptive int, indexed bool, workers, partitions, batch int, skew float64, report time.Duration, seed, faults int64) error {
 	var w *workload.Workload
 	switch kind {
 	case "chain":
@@ -127,7 +126,6 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 			}
 		}
 	}
-	db.SetJoinCache(cached)
 	cap := capture.NewLogCapture(db)
 	cap.Start()
 
@@ -359,15 +357,9 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		for _, v := range st.PartSliceJobs {
 			sliceJobs += v
 		}
-		fmt.Printf("partitions:           %d-way, %d slice jobs, %d heavy keys, %d migrations\n",
-			st.Partitions, sliceJobs, st.HeavyKeys, st.KeyMigrations)
-		fmt.Printf("  per partition:      scanned=%v delta=%v jobs=%v cache=%v\n",
-			st.PartRowsScanned, st.PartDeltaRows, st.PartSliceJobs, st.PartCacheRows)
-	}
-	if cached {
-		fmt.Printf("join cache:           %d hits, %d misses, %d maint rows, %d builds, %d rows resident (~%d KiB)\n",
-			st.CacheHits, st.CacheMisses, st.CacheMaintRows, st.CacheBuilds,
-			st.CacheResidentRows, st.CacheResidentBytes/1024)
+		fmt.Printf("partitions:           %d-way, %d slice jobs\n", st.Partitions, sliceJobs)
+		fmt.Printf("  per partition:      scanned=%v delta=%v jobs=%v\n",
+			st.PartRowsScanned, st.PartDeltaRows, st.PartSliceJobs)
 	}
 	a := allocs.Sample()
 	fmt.Printf("allocations:          %d objects, %d MiB since driver start\n",

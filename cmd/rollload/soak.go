@@ -213,8 +213,7 @@ func runSoak(dur time.Duration, rssLimitMB int, seed int64, report time.Duration
 		commits, wall.Round(time.Second), float64(commits)/wall.Seconds(), min64(nextID, keepLive))
 	fmt.Printf("tiering:       %d compactions folded %d rows, %d KB spilled, %d cold loads\n",
 		es.Compactions, es.FoldedRows, es.SpilledBytes/1024, es.ColdLoads)
-	fmt.Printf("residency:     image %d KB, cache %d rows / %d KB\n",
-		es.ImageResidentBytes/1024, es.CacheResidentRows, es.CacheResidentBytes/1024)
+	fmt.Printf("residency:     image %d KB\n", es.ImageResidentBytes/1024)
 	if len(ckptLat) > 0 {
 		var sum, max time.Duration
 		for _, d := range ckptLat {

@@ -276,128 +276,6 @@ func TestCrashRecoveryAtRestore(t *testing.T) {
 	}
 }
 
-// TestCrashDuringMigration covers the "migrate" failpoint class: the
-// process dies exactly as the heavy/light classifier moves a join key
-// between the generic hash path and a dedicated heavy partition. The
-// workload drives hot-key blocks (32 commits per key) into a 4-way
-// partitioned instance, so the first block's key promotes deterministically
-// at count 16 and the second block yields a second migration — hit counts 1
-// and 2 crash on each. Migration touches only volatile state (classifier
-// and resident cache buckets; physical routing is purely hash), so the
-// recovered view must equal a full recomputation, and a fresh hot-key burst
-// after recovery must classify and maintain correctly again from an empty
-// sketch.
-func TestCrashDuringMigration(t *testing.T) {
-	defer fault.Reset()
-	for _, seed := range []int64{1, 2} {
-		for _, hits := range []int64{1, 2} {
-			t.Run(fmt.Sprintf("seed%d/hit%d", seed, hits), func(t *testing.T) {
-				fault.Reset()
-				fdev := fault.NewDevice(wal.NewMemDevice())
-				db, err := Open(Options{Device: fdev, SyncOnCommit: true, Partitions: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				crashCatalog(t, db)
-				var lastAcked CSN
-				if csn, err := db.Update(func(tx *Tx) error {
-					for _, it := range crashItems {
-						if err := tx.Insert("items", Str(it.name), Int(it.price)); err != nil {
-							return err
-						}
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				} else {
-					lastAcked = csn
-				}
-				if _, err := db.DefineView(orderPricesSpec(), Maintain{Interval: 4, AutoRefresh: true}); err != nil {
-					t.Fatal(err)
-				}
-
-				fault.Set(fault.PointMigrate, fault.CrashOnHit(hits, fdev))
-				rng := rand.New(rand.NewSource(seed))
-				for i := 0; i < 128 && !fdev.Frozen(); i++ {
-					// Hot-key blocks on the partition column (orders.id):
-					// 32 commits of id 0, then 32 of id 1, and so on.
-					id := int64(i / 32)
-					item := crashItems[rng.Intn(len(crashItems))].name
-					csn, err := db.Update(func(tx *Tx) error { return tx.Insert("orders", Int(id), Str(item)) })
-					if err != nil {
-						break
-					}
-					lastAcked = csn
-				}
-				// The classifier runs on the capture goroutine; wait for the
-				// armed crash if the writers outran it.
-				deadline := time.Now().Add(5 * time.Second)
-				for !fdev.Frozen() && time.Now().Before(deadline) {
-					time.Sleep(time.Millisecond)
-				}
-				if !fdev.Frozen() {
-					t.Fatalf("migrate failpoint never fired (%d evals)", fault.Evals(fault.PointMigrate))
-				}
-				img, err := fdev.CrashImage(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fault.Reset()
-				db.Close()
-
-				// Reopen the crash image partitioned the same way, recover, and
-				// verify the view against recomputation.
-				rdb, err := Open(Options{Device: wal.NewMemDeviceFrom(img), SyncOnCommit: true, Partitions: 4})
-				if err != nil {
-					t.Fatalf("reopen from crash image: %v", err)
-				}
-				defer rdb.Close()
-				crashCatalog(t, rdb)
-				recovered, err := rdb.Recover()
-				if err != nil {
-					t.Fatalf("recovery: %v", err)
-				}
-				if recovered < lastAcked {
-					t.Fatalf("recovered CSN %d lost acked commit %d", recovered, lastAcked)
-				}
-				view, err := rdb.DefineView(orderPricesSpec(), Maintain{Interval: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				verify := func(stage string) {
-					t.Helper()
-					if err := view.CatchUp(rdb.LastCSN()); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := view.Refresh(); err != nil && !errors.Is(err, ErrBackward) {
-						t.Fatal(err)
-					}
-					full, err := rdb.Query(orderPricesSpec())
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, want := multiset(view.Rows()), multiset(full.Rows)
-					if !multisetsEqual(got, want) {
-						t.Fatalf("view diverged from recomputation %s:\n view: %v\n full: %v", stage, got, want)
-					}
-				}
-				verify("after crash mid-migration")
-				// A fresh hot-key burst: the rebuilt (empty) sketch must
-				// classify again and the view must stay correct through the
-				// resulting migrations.
-				for i := 0; i < 40; i++ {
-					if _, err := rdb.Update(func(tx *Tx) error {
-						return tx.Insert("orders", Int(7), Str(crashItems[i%len(crashItems)].name))
-					}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				verify("after post-recovery hot-key burst")
-			})
-		}
-	}
-}
-
 // TestMidLogCorruptionFailsRecovery: bit rot inside the durable log body is
 // detected at reopen and reported with the damaged frame's offset rather
 // than silently truncating away committed transactions.

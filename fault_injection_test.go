@@ -165,8 +165,7 @@ func TestRestoreRewiresPropagationWakeup(t *testing.T) {
 	if view.Cardinality() != 8 {
 		t.Fatalf("view rows %d after restore + post-restore commits", view.Cardinality())
 	}
-	// Join-cache invalidation happened in the restore path: enabling the
-	// cache after restore must still produce correct propagation results.
+	// Propagation after restore must still agree with recomputation.
 	full, err := db2.Query(orderPricesSpec())
 	if err != nil {
 		t.Fatal(err)

@@ -48,11 +48,6 @@ func accumulate(s engine.Stats) {
 	counters.RowsInserted += s.RowsInserted
 	counters.RowsDeleted += s.RowsDeleted
 	counters.IndexProbes += s.IndexProbes
-	counters.CacheHits += s.CacheHits
-	counters.CacheMisses += s.CacheMisses
-	counters.CacheMaintRows += s.CacheMaintRows
-	counters.CacheBuilds += s.CacheBuilds
-	counters.CacheInvalidations += s.CacheInvalidations
 	countersMu.Unlock()
 }
 
@@ -77,7 +72,7 @@ func NewEnv(w *workload.Workload, seed int64) (*Env, error) {
 
 // NewEnvBare is NewEnv without join-column indexes: base positions fall
 // back to full scans (hash join), the seed behavior. Used as the baseline
-// arm of index and cache ablations.
+// arm of the index ablation.
 func NewEnvBare(w *workload.Workload, seed int64) (*Env, error) {
 	return newEnv(w, seed, false)
 }

@@ -14,47 +14,37 @@ import (
 // PartitionABEntry records one partition-count comparison for the
 // machine-readable benchmark output. The arms drain the identical skewed
 // star-schema update history with scan propagation: unpartitioned (the
-// seed behavior), 4-way hash partitioning with the heavy/light classifier
-// disabled, and 4-way partitioning with heavy keys split onto their own
-// slices. SpeedupHash/SpeedupHeavy are per-step throughput ratios against
-// the unpartitioned arm.
+// seed behavior) and 4-way hash partitioning. SpeedupHash is the per-step
+// throughput ratio of the hash arm against the unpartitioned arm.
 type PartitionABEntry struct {
-	Benchmark     string  `json:"benchmark"`
-	FactRows      int     `json:"fact_rows"`
-	Skew          float64 `json:"skew"`
-	Partitions    int     `json:"partitions"`
-	Reps          int     `json:"reps"`
-	OneNs         int64   `json:"one_ns"`
-	HashNs        int64   `json:"hash_ns"`
-	HeavyNs       int64   `json:"heavy_ns"`
-	OneStepNs     int64   `json:"one_step_ns"`
-	HashStepNs    int64   `json:"hash_step_ns"`
-	HeavyStepNs   int64   `json:"heavy_step_ns"`
-	SpeedupHash   float64 `json:"speedup_hash"`
-	SpeedupHeavy  float64 `json:"speedup_heavy"`
-	SliceJobs     int64   `json:"slice_jobs"`
-	HeavyKeys     int64   `json:"heavy_keys"`
-	KeyMigrations int64   `json:"key_migrations"`
-	Match         bool    `json:"match"`
+	Benchmark   string  `json:"benchmark"`
+	FactRows    int     `json:"fact_rows"`
+	Skew        float64 `json:"skew"`
+	Partitions  int     `json:"partitions"`
+	Reps        int     `json:"reps"`
+	OneNs       int64   `json:"one_ns"`
+	HashNs      int64   `json:"hash_ns"`
+	OneStepNs   int64   `json:"one_step_ns"`
+	HashStepNs  int64   `json:"hash_step_ns"`
+	SpeedupHash float64 `json:"speedup_hash"`
+	SliceJobs   int64   `json:"slice_jobs"`
+	Match       bool    `json:"match"`
 }
 
 // partArm is one configuration of the partition A/B experiment.
 type partArm struct {
 	name  string
 	parts int
-	heavy bool
 }
 
 // partArmResult is one repetition of one arm: the measured drain plus the
 // deterministic work counters (identical across repetitions of the same
 // seeded history — only the clock varies).
 type partArmResult struct {
-	dur        time.Duration
-	steps      int64
-	jobs       int64
-	heavyKeys  int64
-	migrations int64
-	match      bool
+	dur   time.Duration
+	steps int64
+	jobs  int64
+	match bool
 }
 
 // runPartArm builds a fresh environment, drains the seeded skewed
@@ -63,10 +53,7 @@ type partArmResult struct {
 func runPartArm(arm partArm, updates, dimRows, factRows int, skew float64) (partArmResult, error) {
 	var res partArmResult
 	w := workload.StarSchema(2, factRows, dimRows, 20)
-	env, err := NewEnvCfg(w, 91, false, engine.Config{
-		Partitions:        arm.parts,
-		DisableHeavySplit: !arm.heavy,
-	})
+	env, err := NewEnvCfg(w, 91, false, engine.Config{Partitions: arm.parts})
 	if err != nil {
 		return res, err
 	}
@@ -116,8 +103,6 @@ func runPartArm(arm partArm, updates, dimRows, factRows int, skew float64) (part
 	for _, n := range st.PartSliceJobs {
 		res.jobs += n
 	}
-	res.heavyKeys = st.HeavyKeys
-	res.migrations = st.KeyMigrations
 
 	applier := core.NewApplier(mv, env.Dest, func() relalg.CSN { return last })
 	if err := applier.RollTo(last); err != nil {
@@ -135,12 +120,10 @@ func runPartArm(arm partArm, updates, dimRows, factRows int, skew float64) (part
 // a skewed star schema. All arms use scan propagation (no indexes), where
 // the partitioning layer's work reduction is direct: a sliced step's
 // co-partitioned base scans read one shard instead of the whole heap,
-// slices whose delta window is empty are skipped outright — under skew,
-// most light partitions are — and a heavy-key slice reads its base
-// positions from the materialized heavy cache partition instead of
-// scanning at all. Every arm drains the identical update history (victim
-// selection in DeleteWhere is partition-count-independent) and is
-// verified against a full recomputation. Each arm repeats a few times and
+// and slices whose delta window is empty are skipped outright. Every arm
+// drains the identical update history (victim selection in DeleteWhere is
+// partition-count-independent) and is verified against a full
+// recomputation. Each arm repeats a few times and
 // reports the fastest repetition: the per-seed work is deterministic, so
 // the minimum rejects scheduler and GC noise rather than cherry-picking.
 func PartitionAB(s Scale) (*metrics.Table, []PartitionABEntry, error) {
@@ -154,19 +137,18 @@ func PartitionAB(s Scale) (*metrics.Table, []PartitionABEntry, error) {
 	const nparts = 4
 	const skew = 1.8
 	t := metrics.NewTable(
-		fmt.Sprintf("PARTITION — 1 vs %d partitions vs %d+heavy/light, scan propagation (skewed star: fact %d rows, 2 dims x %d, zipf %.1f, %d updates, best of %d)",
-			nparts, nparts, factRows, dimRows, skew, updates, reps),
-		"arm", "drain", "ns/step", "steps", "slice jobs", "heavy keys", "migrations", "match")
+		fmt.Sprintf("PARTITION — 1 vs %d hash partitions, scan propagation (skewed star: fact %d rows, 2 dims x %d, zipf %.1f, %d updates, best of %d)",
+			nparts, factRows, dimRows, skew, updates, reps),
+		"arm", "drain", "ns/step", "steps", "slice jobs", "match")
 
 	arms := []partArm{
-		{"1 partition", 1, false},
-		{fmt.Sprintf("%d hash", nparts), nparts, false},
-		{fmt.Sprintf("%d heavy/light", nparts), nparts, true},
+		{"1 partition", 1},
+		{fmt.Sprintf("%d hash", nparts), nparts},
 	}
 
 	var entries []PartitionABEntry
-	var best [3]partArmResult
-	var stepNs [3]int64
+	var best [2]partArmResult
+	var stepNs [2]int64
 	match := true
 	for mode, arm := range arms {
 		armMatch := true
@@ -187,28 +169,21 @@ func PartitionAB(s Scale) (*metrics.Table, []PartitionABEntry, error) {
 			stepNs[mode] = best[mode].dur.Nanoseconds() / best[mode].steps
 		}
 		b := best[mode]
-		t.AddRow(arm.name, b.dur, stepNs[mode], b.steps, b.jobs, b.heavyKeys, b.migrations, pass(armMatch))
+		t.AddRow(arm.name, b.dur, stepNs[mode], b.steps, b.jobs, pass(armMatch))
 	}
-	speedupHash := float64(stepNs[0]) / float64(stepNs[1])
-	speedupHeavy := float64(stepNs[0]) / float64(stepNs[2])
 	entries = append(entries, PartitionABEntry{
-		Benchmark:     "rolling propagation, skewed star schema",
-		FactRows:      factRows,
-		Skew:          skew,
-		Partitions:    nparts,
-		Reps:          reps,
-		OneNs:         best[0].dur.Nanoseconds(),
-		HashNs:        best[1].dur.Nanoseconds(),
-		HeavyNs:       best[2].dur.Nanoseconds(),
-		OneStepNs:     stepNs[0],
-		HashStepNs:    stepNs[1],
-		HeavyStepNs:   stepNs[2],
-		SpeedupHash:   speedupHash,
-		SpeedupHeavy:  speedupHeavy,
-		SliceJobs:     best[2].jobs,
-		HeavyKeys:     best[2].heavyKeys,
-		KeyMigrations: best[2].migrations,
-		Match:         match,
+		Benchmark:   "rolling propagation, skewed star schema",
+		FactRows:    factRows,
+		Skew:        skew,
+		Partitions:  nparts,
+		Reps:        reps,
+		OneNs:       best[0].dur.Nanoseconds(),
+		HashNs:      best[1].dur.Nanoseconds(),
+		OneStepNs:   stepNs[0],
+		HashStepNs:  stepNs[1],
+		SpeedupHash: float64(stepNs[0]) / float64(stepNs[1]),
+		SliceJobs:   best[1].jobs,
+		Match:       match,
 	})
 	if !match {
 		return t, entries, fmt.Errorf("partition AB: an arm diverged from full recomputation")

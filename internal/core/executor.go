@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"sort"
 	"sync"
 	"time"
 
@@ -201,26 +199,15 @@ func (e *Executor) windowEmpty(i int, lo, hi relalg.CSN) bool {
 // result to the view delta, and returns the query's execution time t_e.
 // The query reads every base position through the read view at asOf, so
 // t_e == asOf by construction: executed time equals intended time, and
-// compensation never has to chase an uncontrolled commit CSN. (The join
-// cache pins its state at exactly asOf, or the engine falls back to the
-// versioned heap; either way t_e is asOf.)
+// compensation never has to chase an uncontrolled commit CSN.
 func (e *Executor) execute(q *PropQuery, kind QueryKind, depth int, asOf relalg.CSN) (relalg.CSN, error) {
 	if err := e.src.WaitProgress(q.MaxDeltaHi()); err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	var (
-		csn           relalg.CSN
-		rows, batches int
-		err           error
-	)
 	eq := q.EngineQuery()
 	eq.AsOf = asOf
-	if (e.db.JoinCacheEnabled() || e.db.HeavySliceCached(eq)) && engine.CacheEligible(e.db, eq) {
-		csn, rows, batches, err = e.db.ExecutePropagationCached(eq, q.Sign, e.dest, q.MaxDeltaHi(), e.src.WaitProgress)
-	} else {
-		csn, rows, batches, err = e.db.ExecutePropagation(eq, q.Sign, e.dest)
-	}
+	csn, rows, batches, err := e.db.ExecutePropagation(eq, q.Sign, e.dest)
 	if err != nil {
 		return 0, err
 	}
@@ -307,20 +294,10 @@ func (e *Executor) propagatePositionSlice(q *PropQuery, tauOld []relalg.CSN, tNe
 }
 
 // sliceSpecs returns the partition slices for relation i's propagation
-// step: one heavy slice per heavy-classified key plus one light slice per
-// hash partition (excluding the heavy keys). The slices are disjoint and
-// cover the window. Nil when the engine — or this relation's delta — is
-// not partitioned, which keeps the unpartitioned path byte-for-byte
-// identical to the sequential algorithm.
-//
-// Heavy keys are taken from every relation of the view, not just relation
-// i: the join columns share one key domain under co-partitioning, so a
-// key that is hot in the fact table's change stream also appears in
-// dimension windows, where its slice routes through the materialized
-// heavy state instead of scanning the (large) co-partitioned fact shard.
-// Slicing by a value that never occurs in relation i's window is sound —
-// the slices still partition the window — and free, because empty slices
-// are skipped before any query runs.
+// step: one slice per hash partition. The slices are disjoint and cover
+// the window. Nil when the engine — or this relation's delta — is not
+// partitioned, which keeps the unpartitioned path byte-for-byte identical
+// to the sequential algorithm.
 func (e *Executor) sliceSpecs(i int) []*engine.PartSpec {
 	n := e.db.Partitions()
 	if n <= 1 {
@@ -330,25 +307,9 @@ func (e *Executor) sliceSpecs(i int) []*engine.PartSpec {
 	if err != nil || d.Partitions() != n {
 		return nil
 	}
-	var heavy [][]byte
-	seen := make(map[string]bool)
-	for _, rel := range e.view.Relations {
-		for _, hk := range e.db.HeavyKeys(rel) {
-			if !seen[string(hk)] {
-				seen[string(hk)] = true
-				heavy = append(heavy, hk)
-			}
-		}
-	}
-	// Re-sort the union so slice plans are deterministic regardless of
-	// which table classified a key first.
-	sort.Slice(heavy, func(a, b int) bool { return bytes.Compare(heavy[a], heavy[b]) < 0 })
-	specs := make([]*engine.PartSpec, 0, n+len(heavy))
-	for _, hk := range heavy {
-		specs = append(specs, &engine.PartSpec{N: n, Key: hk})
-	}
-	for p := 0; p < n; p++ {
-		specs = append(specs, &engine.PartSpec{N: n, Part: p, Not: heavy})
+	specs := make([]*engine.PartSpec, n)
+	for p := range specs {
+		specs[p] = &engine.PartSpec{N: n, Part: p}
 	}
 	return specs
 }

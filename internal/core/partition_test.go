@@ -19,8 +19,7 @@ var partitionCounts = []int{1, 4, 7}
 // TestPartitionedConcurrentWritersOracle is the concurrent-writers oracle
 // extended across partition counts: rolling propagation with slice fan-out
 // races a writer goroutine, then the rolled range is checked against the
-// timed-delta oracle. The small key domain promotes hot keys to heavy
-// slices mid-run, so the classifier and key migration are exercised too.
+// timed-delta oracle.
 func TestPartitionedConcurrentWritersOracle(t *testing.T) {
 	for _, parts := range partitionCounts {
 		for _, workers := range []int{1, 4} {

@@ -189,9 +189,9 @@ func (r *RollingPropagator) Step() error {
 		tauOld[j] = w
 	}
 	// With a partitioned engine the step decomposes into independent
-	// per-slice jobs (heavy keys plus light hash partitions) that fan out
-	// to the scheduler pool and merge under the shared boundary ledger:
-	// cell[i] advances once, below, after every slice has completed.
+	// per-partition slice jobs that fan out to the scheduler pool and
+	// merge under the shared boundary ledger: cell[i] advances once,
+	// below, after every slice has completed.
 	if specs := r.exec.sliceSpecs(i); len(specs) > 0 {
 		if err := r.exec.propagateSlices(AllBase(r.exec.view), tauOld, hi, i, specs); err != nil {
 			return err

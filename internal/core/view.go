@@ -135,11 +135,11 @@ type Position struct {
 	// Delta selects the delta-table form R^i_{Lo,Hi}.
 	Delta  bool
 	Lo, Hi relalg.CSN
-	// Slice optionally restricts a delta position to one partition slice
-	// of its window (heavy key or light hash partition). The engine
-	// extends the slice to co-partitioned base positions; compensation
-	// queries derived from a sliced query inherit the slice, so the whole
-	// subtree computes exactly the slice's share of the step.
+	// Slice optionally restricts a delta position to one hash-partition
+	// slice of its window. The engine extends the slice to co-partitioned
+	// base positions; compensation queries derived from a sliced query
+	// inherit the slice, so the whole subtree computes exactly the slice's
+	// share of the step.
 	Slice *engine.PartSpec
 }
 
@@ -233,11 +233,7 @@ func (q *PropQuery) String() string {
 		if p.Delta {
 			s += fmt.Sprintf("Δ%s(%d,%d]", q.View.Relations[i], p.Lo, p.Hi)
 			if p.Slice != nil {
-				if p.Slice.Key != nil {
-					s += fmt.Sprintf("[heavy/%d]", p.Slice.N)
-				} else {
-					s += fmt.Sprintf("[%d/%d]", p.Slice.Part, p.Slice.N)
-				}
+				s += fmt.Sprintf("[%d/%d]", p.Slice.Part, p.Slice.N)
 			}
 		} else {
 			s += q.View.Relations[i]

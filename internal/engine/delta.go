@@ -21,9 +21,8 @@ import (
 // Partitions = N > 1, a change record lives in shard
 // hashPart(row[partCol], N). The sequence counter stays global, so keys
 // remain unique across shards and a merged iteration reproduces exactly
-// the single-tree (timestamp, sequence) order; WindowPart exposes the
-// per-partition delta cursor that partitioned propagation and cache
-// maintenance consume.
+// the single-tree (timestamp, sequence) order; WindowSpec and SliceEmpty
+// read the per-partition slices that partitioned propagation consumes.
 type DeltaTable struct {
 	base   string
 	schema *tuple.Schema
@@ -37,9 +36,8 @@ type DeltaTable struct {
 	pruned relalg.CSN // highest PruneThrough bound ever applied
 
 	// onAppend, when set, is called after a successful append with the
-	// record's partition and partition-column value, outside the latch
-	// (frequency sketch and per-partition counters; see heavy.go).
-	onAppend func(part int, key tuple.Value)
+	// record's partition, outside the latch (per-partition counters).
+	onAppend func(part int)
 }
 
 func newDeltaTable(base string, schema *tuple.Schema, nparts, partCol int) *DeltaTable {
@@ -129,7 +127,7 @@ func (d *DeltaTable) Append(ts relalg.CSN, count int64, row tuple.Tuple) (handle
 	note := d.onAppend
 	d.latch.Unlock()
 	if note != nil {
-		note(part, row[d.partCol])
+		note(part)
 	}
 	// The handle carries the shard so Remove routes without rehashing.
 	return append(k, byte(part))
@@ -138,9 +136,9 @@ func (d *DeltaTable) Append(ts relalg.CSN, count int64, row tuple.Tuple) (handle
 // AppendEncoded adds one change record whose row is already in
 // tuple.EncodeRow form — the columnar propagation egress, which
 // serializes straight from batch columns without materializing tuples.
-// partVal must be the row's partition-column value (it routes the shard
-// and feeds the append hook). The encoded row is copied into a fresh
-// value buffer, so the caller may reuse encRow.
+// partVal must be the row's partition-column value (it routes the shard).
+// The encoded row is copied into a fresh value buffer, so the caller may
+// reuse encRow.
 func (d *DeltaTable) AppendEncoded(ts relalg.CSN, count int64, encRow []byte, partVal tuple.Value) (handle []byte) {
 	// One allocation per record, laid out [16-byte key | shard byte |
 	// value]: the btree retains the key and value slices (it never
@@ -163,7 +161,7 @@ func (d *DeltaTable) AppendEncoded(ts relalg.CSN, count int64, encRow []byte, pa
 	note := d.onAppend
 	d.latch.Unlock()
 	if note != nil {
-		note(part, partVal)
+		note(part)
 	}
 	return buf[:17]
 }
@@ -236,24 +234,6 @@ func (d *DeltaTable) Window(lo, hi relalg.CSN) *relalg.Relation {
 	return d.WindowSpec(nil, lo, hi)
 }
 
-// WindowPart materializes the slice of σ_{lo,hi} that falls in hash
-// partition p: the per-partition delta cursor.
-func (d *DeltaTable) WindowPart(p int, lo, hi relalg.CSN) *relalg.Relation {
-	out := relalg.NewRelation(d.schema)
-	if hi <= lo || p < 0 || p >= len(d.shards) {
-		return out
-	}
-	d.latch.RLock()
-	defer d.latch.RUnlock()
-	d.shards[p].Ascend(deltaKey(lo+1, 0), deltaKey(hi+1, 0), func(k, v []byte) bool {
-		ts := relalg.CSN(binary.BigEndian.Uint64(k[0:8]))
-		count, row := decodeDeltaVal(v)
-		out.Add(row, count, ts)
-		return true
-	})
-	return out
-}
-
 // WindowSpec materializes the slice of σ_{lo,hi} selected by spec (nil =
 // the full window).
 func (d *DeltaTable) WindowSpec(spec *PartSpec, lo, hi relalg.CSN) *relalg.Relation {
@@ -265,17 +245,19 @@ func (d *DeltaTable) WindowSpec(spec *PartSpec, lo, hi relalg.CSN) *relalg.Relat
 	defer d.latch.RUnlock()
 	start := deltaKey(lo+1, 0)
 	end := deltaKey(hi+1, 0)
+	pure := spec.sliced() && spec.N == d.nparts
+	filter := spec.sliced() && !pure
 	add := func(k, v []byte) bool {
 		ts := relalg.CSN(binary.BigEndian.Uint64(k[0:8]))
 		count, row := decodeDeltaVal(v)
-		if spec.sliced() && !spec.admits(row[d.partCol], spec.N == d.nparts) {
+		if filter && !spec.admits(row[d.partCol]) {
 			return true
 		}
 		out.Add(row, count, ts)
 		return true
 	}
-	if spec.sliced() && spec.N == d.nparts {
-		d.shards[spec.shard()].Ascend(start, end, add)
+	if pure {
+		d.shards[spec.Part].Ascend(start, end, add)
 	} else {
 		d.ascendMerged(start, end, add)
 	}
@@ -320,18 +302,20 @@ func (d *DeltaTable) SliceEmpty(spec *PartSpec, lo, hi relalg.CSN) bool {
 	start := deltaKey(lo+1, 0)
 	end := deltaKey(hi+1, 0)
 	empty := true
+	pure := spec.sliced() && spec.N == d.nparts
+	filter := spec.sliced() && !pure
 	probe := func(k, v []byte) bool {
-		if spec.sliced() {
+		if filter {
 			_, row := decodeDeltaVal(v)
-			if !spec.admits(row[d.partCol], spec.N == d.nparts) {
+			if !spec.admits(row[d.partCol]) {
 				return true
 			}
 		}
 		empty = false
 		return false
 	}
-	if spec.sliced() && spec.N == d.nparts {
-		d.shards[spec.shard()].Ascend(start, end, probe)
+	if pure {
+		d.shards[spec.Part].Ascend(start, end, probe)
 	} else {
 		d.ascendMerged(start, end, probe)
 	}
@@ -378,8 +362,7 @@ func (d *DeltaTable) PruneThrough(hi relalg.CSN) int {
 }
 
 // PrunedThrough returns the highest timestamp bound ever passed to
-// PruneThrough: windows starting below it may be missing rows. The join-state
-// cache checks it before folding a maintenance window into a cached index.
+// PruneThrough: windows starting below it may be missing rows.
 func (d *DeltaTable) PrunedThrough() relalg.CSN {
 	d.latch.RLock()
 	defer d.latch.RUnlock()

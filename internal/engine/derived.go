@@ -329,7 +329,7 @@ func (s *derivedScan) Next(out *relalg.Batch) (bool, error) {
 		if s.spec.sliced() {
 			// Derived deltas are unpartitioned, so co-partitioning never
 			// slices a derived input; honor an explicit spec anyway.
-			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, 0), false) })
+			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, 0)) })
 		}
 		if s.pred != nil {
 			before := int64(out.Len())

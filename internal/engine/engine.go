@@ -59,14 +59,11 @@ type Config struct {
 	SyncOnCommit bool
 	// Partitions hash-partitions every base table's version store and
 	// delta table by join-key (column 0) hash into N partitions, enabling
-	// per-partition propagation slices and sharded join-state caches.
+	// per-partition propagation slices.
 	// 0 defers to the ROLLINGJOIN_PARTITIONS environment variable (the
 	// test hook for running the whole suite partitioned), then defaults
 	// to 1 — the unpartitioned seed behavior, byte for byte.
 	Partitions int
-	// DisableHeavySplit turns off the heavy/light key classifier while
-	// keeping plain hash partitioning (the "plain hash" A/B arm).
-	DisableHeavySplit bool
 	// BatchSize is the row capacity the streaming scans and join operators
 	// aim for per batch. 0 defers to the ROLLINGJOIN_BATCH environment
 	// variable, then to exec.DefaultBatchSize.
@@ -84,18 +81,16 @@ type DB struct {
 	tm  *txn.Manager
 	log *wal.Log
 
-	mu       sync.RWMutex // guards the catalog maps
-	tables   map[string]*Table
-	deltas   map[string]*DeltaTable // keyed by base-table name
-	derived  map[string]*Derived    // maintained views readable as relations
-	sketches map[string]*keySketch  // per-table heavy/light frequency sketches
+	mu      sync.RWMutex // guards the catalog maps
+	tables  map[string]*Table
+	deltas  map[string]*DeltaTable // keyed by base-table name
+	derived map[string]*Derived    // maintained views readable as relations
 
 	// nparts is the instance-wide hash-partition count (>= 1); every base
 	// table and base delta is partitioned the same N ways on column 0, so
 	// equal join keys land in the same partition everywhere (the
 	// co-partitioning requirement, DESIGN.md §9).
-	nparts     int
-	heavySplit bool
+	nparts int
 
 	// batchSize is the per-instance batch row capacity (Config.BatchSize
 	// resolved against ROLLINGJOIN_BATCH and the exec default).
@@ -105,11 +100,6 @@ type DB struct {
 	triggerSink TriggerSink
 
 	cfg Config
-
-	// joinCache enables the resident join-state cache for propagation
-	// queries (ExecutePropagationCached); cache is its registry.
-	joinCache atomic.Bool
-	cache     *JoinCache
 
 	// ReadView registry (readview.go): open snapshots pin the version-GC
 	// horizon; gcHorizon is the CSN through which dead versions have been
@@ -126,15 +116,6 @@ type DB struct {
 	rowsInserted atomic.Int64
 	rowsDeleted  atomic.Int64
 	indexProbes  atomic.Int64
-
-	// Join-state cache counters (see cache.go).
-	cacheHits          atomic.Int64
-	cacheMisses        atomic.Int64
-	cacheMaintRows     atomic.Int64
-	cacheBuilds        atomic.Int64
-	cacheInvalidations atomic.Int64
-	cacheResidentRows  atomic.Int64
-	cacheResidentBytes atomic.Int64
 
 	// Snapshot counters (see readview.go).
 	snapshotsOpened atomic.Int64
@@ -158,15 +139,12 @@ type DB struct {
 	filterRowsKept  atomic.Int64
 	arenaBytes      atomic.Int64
 
-	// Per-partition counters (partition.go / heavy.go): rows scanned by
-	// sliced scans, delta rows routed to each partition, per-partition
-	// propagation slice jobs, cache fold rows per partition, and
-	// heavy/light migrations.
+	// Per-partition counters (partition.go): rows scanned by sliced scans,
+	// delta rows routed to each partition, and per-partition propagation
+	// slice jobs.
 	partScanned   []atomic.Int64
 	partDeltaRows []atomic.Int64
 	partSliceJobs []atomic.Int64
-	partCacheRows []atomic.Int64
-	keyMigrations atomic.Int64
 
 	// schedStats, when set, reports the maintenance scheduler's counters
 	// (the scheduler lives above the engine; the hook pulls its snapshot
@@ -183,22 +161,6 @@ type DB struct {
 	// tailer lives above the engine, like the scheduler).
 	replStats atomic.Pointer[func() ReplStats]
 }
-
-// DefaultJoinCache seeds every newly opened DB's join-cache flag, letting
-// a whole experiment be flipped onto the cache without threading the knob
-// through construction sites. Off by default: the uncached path is the
-// seed behavior and stays available for A/B runs.
-var DefaultJoinCache = false
-
-// SetJoinCache toggles the resident join-state cache for propagation
-// queries. When enabled, eligible queries (base ⋈ delta with capture-backed
-// bases) read base tables from incrementally maintained hash indexes
-// instead of scanning the heaps under table locks.
-func (db *DB) SetJoinCache(v bool) { db.joinCache.Store(v) }
-
-// JoinCacheEnabled reports whether the join-state cache should be used for
-// propagation queries.
-func (db *DB) JoinCacheEnabled() bool { return db.joinCache.Load() }
 
 // Open creates a database instance, recovering the log end if the device
 // has prior content.
@@ -238,19 +200,14 @@ func Open(cfg Config) (*DB, error) {
 		log:           log,
 		tables:        make(map[string]*Table),
 		deltas:        make(map[string]*DeltaTable),
-		sketches:      make(map[string]*keySketch),
 		nparts:        nparts,
-		heavySplit:    nparts > 1 && !cfg.DisableHeavySplit,
 		batchSize:     bsz,
 		cfg:           cfg,
 		partScanned:   make([]atomic.Int64, nparts),
 		partDeltaRows: make([]atomic.Int64, nparts),
 		partSliceJobs: make([]atomic.Int64, nparts),
-		partCacheRows: make([]atomic.Int64, nparts),
 		replica:       cfg.Replica,
 	}
-	db.joinCache.Store(DefaultJoinCache)
-	db.cache = newJoinCache(db)
 	db.horizons = &HorizonLedger{db: db, pins: make(map[string]relalg.CSN)}
 	return db, nil
 }
@@ -262,10 +219,6 @@ func (db *DB) Partitions() int { return db.nparts }
 // BatchSize returns the per-instance batch row capacity the streaming
 // pipelines use.
 func (db *DB) BatchSize() int { return db.batchSize }
-
-// HeavySplitEnabled reports whether the heavy/light key classifier is
-// active.
-func (db *DB) HeavySplitEnabled() bool { return db.heavySplit }
 
 // addPartScanned attributes rows scanned by a partition-sliced scan to its
 // partition counter (only when the slice's N matches the instance's).
@@ -325,17 +278,7 @@ func (db *DB) CreateDelta(base string) (*DeltaTable, error) {
 	}
 	d := newDeltaTable(base, bt.schema, bt.nparts, bt.partCol)
 	if bt.nparts > 1 {
-		var sk *keySketch
-		if db.heavySplit {
-			sk = newKeySketch(db, base)
-			db.sketches[base] = sk
-		}
-		d.onAppend = func(part int, key tuple.Value) {
-			db.partDeltaRows[part].Add(1)
-			if sk != nil {
-				sk.note(tuple.EncodeKeyValue(nil, key))
-			}
-		}
+		d.onAppend = func(part int) { db.partDeltaRows[part].Add(1) }
 	}
 	db.deltas[base] = d
 	return d, nil
@@ -408,17 +351,6 @@ type Stats struct {
 	RowsDeleted  int64
 	IndexProbes  int64
 
-	// Join-state cache counters: probe hits/misses against cached indexes,
-	// delta rows folded during maintenance, full (re)builds, explicit
-	// invalidations, and the resident footprint (rows and approximate bytes).
-	CacheHits          int64
-	CacheMisses        int64
-	CacheMaintRows     int64
-	CacheBuilds        int64
-	CacheInvalidations int64
-	CacheResidentRows  int64
-	CacheResidentBytes int64
-
 	// ReadView counters: snapshots opened, publish-barrier stalls (waits
 	// that had to block for an in-flight commit to finish publishing),
 	// dead row versions currently retained for snapshot readers, and
@@ -433,17 +365,19 @@ type Stats struct {
 	// Partitions == 1). PartRowsScanned counts rows read by
 	// partition-sliced scans, PartDeltaRows the change records routed to
 	// each partition, PartSliceJobs the per-partition propagation slice
-	// jobs executed, and PartCacheRows the delta rows folded into each
-	// cache shard. HeavyKeys is the number of join keys currently
-	// classified heavy across all tables; KeyMigrations counts completed
-	// heavy<->light migrations.
+	// jobs executed.
 	Partitions      int
 	PartRowsScanned []int64
 	PartDeltaRows   []int64
 	PartSliceJobs   []int64
-	PartCacheRows   []int64
-	HeavyKeys       int64
-	KeyMigrations   int64
+
+	// HeavyKeys is always 0. It counted the join keys a heavy/light
+	// frequency classifier had routed into the join-state cache; both were
+	// deleted after the cache measured slower than index probes and the
+	// classifier never fired on a Zipf-skewed fact table. The field stays
+	// because external readers of Stats (the freshness harness's
+	// heavy_keys layer) still decode it.
+	HeavyKeys int64
 
 	// Batch-layer counters. BatchesProduced and BatchRows count the
 	// batches and rows streamed out of query pipelines (rows/batch is
@@ -543,20 +477,11 @@ func (db *DB) Stats() Stats {
 		}
 		return out
 	}
-	var heavy int64
-	db.mu.RLock()
-	for _, sk := range db.sketches {
-		heavy += int64(sk.heavyCount())
-	}
-	db.mu.RUnlock()
 	return Stats{
 		Partitions:         db.nparts,
 		PartRowsScanned:    snap(db.partScanned),
 		PartDeltaRows:      snap(db.partDeltaRows),
 		PartSliceJobs:      snap(db.partSliceJobs),
-		PartCacheRows:      snap(db.partCacheRows),
-		HeavyKeys:          heavy,
-		KeyMigrations:      db.keyMigrations.Load(),
 		Sched:              ss,
 		Repl:               rs,
 		RowsScanned:        db.rowsScanned.Load(),
@@ -565,13 +490,6 @@ func (db *DB) Stats() Stats {
 		RowsInserted:       db.rowsInserted.Load(),
 		RowsDeleted:        db.rowsDeleted.Load(),
 		IndexProbes:        db.indexProbes.Load(),
-		CacheHits:          db.cacheHits.Load(),
-		CacheMisses:        db.cacheMisses.Load(),
-		CacheMaintRows:     db.cacheMaintRows.Load(),
-		CacheBuilds:        db.cacheBuilds.Load(),
-		CacheInvalidations: db.cacheInvalidations.Load(),
-		CacheResidentRows:  db.cacheResidentRows.Load(),
-		CacheResidentBytes: db.cacheResidentBytes.Load(),
 		BatchesProduced:    db.batchesProduced.Load(),
 		BatchRows:          db.batchRows.Load(),
 		FilterRowsIn:       db.filterRowsIn.Load(),

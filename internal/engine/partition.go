@@ -16,22 +16,15 @@ import (
 // zero shard bits leaves rowids, delta keys, and iteration order exactly
 // as before.
 
-// hashPartEnc maps an already key-encoded value to a partition in [0, n).
-func hashPartEnc(enc []byte, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := fnv.New64a()
-	h.Write(enc)
-	return int(h.Sum64() % uint64(n))
-}
-
-// hashPart maps a join-key value to a partition in [0, n).
+// hashPart maps a join-key value to a partition in [0, n) by an FNV hash
+// of its key encoding.
 func hashPart(v tuple.Value, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	return hashPartEnc(tuple.EncodeKeyValue(nil, v), n)
+	h := fnv.New64a()
+	h.Write(tuple.EncodeKeyValue(nil, v))
+	return int(h.Sum64() % uint64(n))
 }
 
 // shardBitsFor returns how many low rowid bits encode the shard index for
@@ -44,66 +37,25 @@ func shardBitsFor(n int) uint {
 	return uint(bits.Len(uint(n - 1)))
 }
 
-// PartSpec restricts a query input to one slice of its hash-partitioned
-// window. A nil spec (or N <= 1) means the full, unsliced input. The
-// slices produced for one propagation step are disjoint and cover the
-// window:
-//
-//   - a heavy slice (Key != nil) selects exactly the rows whose
-//     partition-column encoding equals Key;
-//   - a light slice selects the rows of hash partition Part whose
-//     partition-column encoding is not in Not (the heavy keys).
-//
-// Because multiset union over the slices reconstructs the whole window,
-// running the same propagation query once per slice and merging the
-// results is exactly the unsliced propagation step.
+// PartSpec restricts a query input to one hash partition of its window. A
+// nil spec (or N <= 1) means the full, unsliced input. The N slices of one
+// propagation step are disjoint and cover the window, and multiset union
+// over them reconstructs it, so running the same propagation query once
+// per slice and merging the results is exactly the unsliced propagation
+// step.
 type PartSpec struct {
-	N    int      // partition count (0 or 1 = unsliced)
-	Part int      // hash partition index scanned when Key == nil
-	Key  []byte   // key-encoded heavy key: slice is exactly this key
-	Not  [][]byte // key-encoded heavy keys excluded from a light slice
+	N    int // partition count (0 or 1 = unsliced)
+	Part int // hash partition index in [0, N)
 }
 
 // sliced reports whether the spec actually restricts the input.
 func (s *PartSpec) sliced() bool { return s != nil && s.N > 1 }
 
-// shard returns the physical shard index the slice reads when the storage
-// is partitioned the same N ways.
-func (s *PartSpec) shard() int {
-	if s.Key != nil {
-		return hashPartEnc(s.Key, s.N)
-	}
-	return s.Part
-}
-
-// admitsEnc decides whether a row whose key-encoded partition-column value
-// is enc belongs to this slice, assuming the row was already drawn from
-// the slice's hash partition (the caller either reads the matching shard
-// or pre-filters by hash).
-func (s *PartSpec) admitsEnc(enc []byte) bool {
-	if s.Key != nil {
-		return string(enc) == string(s.Key)
-	}
-	for _, not := range s.Not {
-		if string(enc) == string(not) {
-			return false
-		}
-	}
-	return true
-}
-
-// admits decides whether a row belongs to this slice, checking the hash
-// partition too (for storage that is not physically sharded the same N
-// ways).
-func (s *PartSpec) admits(v tuple.Value, samePhysical bool) bool {
-	if !s.sliced() {
-		return true
-	}
-	enc := tuple.EncodeKeyValue(nil, v)
-	if !samePhysical && hashPartEnc(enc, s.N) != s.shard() {
-		return false
-	}
-	return s.admitsEnc(enc)
+// admits decides whether a row whose partition-column value is v belongs
+// to this slice. Storage partitioned the same N ways needs no per-row
+// check: reading the slice's own shard already selects it.
+func (s *PartSpec) admits(v tuple.Value) bool {
+	return !s.sliced() || hashPart(v, s.N) == s.Part
 }
 
 // coPartition extends the slice of a propagation query's introduced delta

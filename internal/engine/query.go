@@ -52,11 +52,7 @@ type Input struct {
 func (in Input) String() string {
 	slice := ""
 	if in.Part.sliced() {
-		if in.Part.Key != nil {
-			slice = fmt.Sprintf("[heavy/%d]", in.Part.N)
-		} else {
-			slice = fmt.Sprintf("[%d/%d]", in.Part.Part, in.Part.N)
-		}
+		slice = fmt.Sprintf("[%d/%d]", in.Part.Part, in.Part.N)
 	}
 	switch in.Kind {
 	case InputBase:
@@ -736,7 +732,7 @@ func indexJoin(db *DB, left *relalg.Relation, t *Table, ix *Index, leftCol int, 
 func (db *DB) ExecutePropagation(q *Query, sign int64, dest *DeltaTable) (relalg.CSN, int, int, error) {
 	for _, in := range q.Inputs {
 		if in.Part.sliced() {
-			db.NotePartSliceJob(in.Part.shard())
+			db.NotePartSliceJob(in.Part.Part)
 			break
 		}
 	}

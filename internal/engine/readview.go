@@ -26,11 +26,9 @@ import (
 //     version still visible to a registered snapshot, and snapshots below
 //     the collected horizon are refused with ErrSnapshotTooOld.
 //
-// Propagation, capture catch-up reads, and the join-state cache all
-// resolve visibility through this one abstraction (directly, or by
-// pinning cached state at exactly the snapshot's AsOf), which is what
-// makes a query's reported execution time equal its actual read time by
-// construction.
+// Propagation and capture catch-up reads both resolve visibility through
+// this one abstraction, which is what makes a query's reported execution
+// time equal its actual read time by construction.
 
 // ErrSnapshotTooOld marks an OpenSnapshot call below the version-GC
 // horizon: dead versions the snapshot would need have been collected.

@@ -238,25 +238,6 @@ func TestSnapshotUnaffectedByDeltaPrune(t *testing.T) {
 	}
 }
 
-func TestSnapshotValidAfterCacheInvalidation(t *testing.T) {
-	db := testDB(t)
-	db.CreateTable("r", ordersSchema())
-	last := seedRows(t, db, "r", 3)
-	snap, err := db.OpenSnapshot(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer snap.Close()
-	db.InvalidateJoinCache()
-	rel, err := snap.Scan("r", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 3 {
-		t.Fatalf("snapshot sees %d rows after cache invalidation, want 3", rel.Len())
-	}
-}
-
 func TestSnapshotAfterRecovery(t *testing.T) {
 	dev := wal.NewMemDevice()
 	db, err := Open(Config{Device: dev})

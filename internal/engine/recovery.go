@@ -70,9 +70,6 @@ func (db *DB) recover(offset int64) (relalg.CSN, error) {
 		}
 	}
 	db.tm.Recover(maxCSN)
-	// Replay wrote base tables without producing capture deltas; any cached
-	// join state predating the replay can no longer be maintained forward.
-	db.InvalidateJoinCache()
 	return maxCSN, nil
 }
 

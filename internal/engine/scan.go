@@ -16,12 +16,11 @@ import (
 // and concurrent propagation queries share the read latch.
 //
 // Both scans accept an optional PartSpec: a sliced scan reads only the
-// matching hash shard (plus a per-row key filter for heavy/light slices),
-// which is how a per-partition propagation job touches 1/N of the
-// storage. An unsliced scan over a partitioned structure walks the shards
-// one after another; relational consumers are multiset operators, so the
-// shard-major order is immaterial (and with one shard it is exactly the
-// seed order).
+// matching hash shard, which is how a per-partition propagation job
+// touches 1/N of the storage. An unsliced scan over a partitioned
+// structure walks the shards one after another; relational consumers are
+// multiset operators, so the shard-major order is immaterial (and with one
+// shard it is exactly the seed order).
 //
 // Both scans are the columnar ingress: stored rows decode straight from
 // their on-disk encodings into the output batch's column vectors (string
@@ -101,9 +100,9 @@ func (s *tableScan) Next(out *relalg.Batch) (bool, error) {
 				return false, fmt.Errorf("engine: corrupt heap row: %w", err)
 			}
 		}
-		if s.spec.sliced() {
+		if s.spec.sliced() && !s.pure {
 			pc := s.t.partCol
-			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, pc), s.pure) })
+			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, pc)) })
 		}
 		if s.pred != nil {
 			before := int64(out.Len())
@@ -129,7 +128,7 @@ func (s *tableScan) Close() error {
 		s.db.addScanned(s.scanned)
 		s.db.addFilterStats(s.fin, s.fkept)
 		if s.spec.sliced() {
-			s.db.addPartScanned(s.spec.shard(), s.spec.N, s.scanned)
+			s.db.addPartScanned(s.spec.Part, s.spec.N, s.scanned)
 		}
 	}
 	return nil
@@ -166,7 +165,7 @@ func (s *deltaScan) Open() error {
 	s.d.latch.RLock()
 	s.latched = true
 	if s.spec.sliced() && s.spec.N == s.d.nparts {
-		s.shards = s.d.shards[s.spec.shard() : s.spec.shard()+1]
+		s.shards = s.d.shards[s.spec.Part : s.spec.Part+1]
 		s.pure = true
 	} else {
 		s.shards = s.d.shards
@@ -209,9 +208,9 @@ func (s *deltaScan) Next(out *relalg.Batch) (bool, error) {
 				return false, fmt.Errorf("engine: corrupt delta row: %w", err)
 			}
 		}
-		if s.spec.sliced() {
+		if s.spec.sliced() && !s.pure {
 			pc := s.d.partCol
-			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, pc), s.pure) })
+			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, pc)) })
 		}
 		if s.pred != nil {
 			before := int64(out.Len())
@@ -237,7 +236,7 @@ func (s *deltaScan) Close() error {
 		s.db.addScanned(s.scanned)
 		s.db.addFilterStats(s.fin, s.fkept)
 		if s.spec.sliced() {
-			s.db.addPartScanned(s.spec.shard(), s.spec.N, s.scanned)
+			s.db.addPartScanned(s.spec.Part, s.spec.N, s.scanned)
 		}
 	}
 	return nil

@@ -296,9 +296,6 @@ func (db *DB) ReadSnapshot(r io.Reader) (int64, error) {
 	}
 
 	db.tm.Recover(relalg.CSN(lastCSN))
-	// The restore wrote base tables directly, bypassing the delta stream the
-	// join cache maintains from; resident cached indexes are now arbitrary.
-	db.InvalidateJoinCache()
 	return int64(logOffset), nil
 }
 
@@ -427,8 +424,5 @@ func (db *DB) ApplyDeltaWindow(r io.Reader, toCSN relalg.CSN) error {
 	if toCSN > db.LastCSN() {
 		db.tm.Recover(toCSN)
 	}
-	// Like recovery: the heaps changed without flowing through the capture
-	// delta stream the join cache folds from.
-	db.InvalidateJoinCache()
 	return nil
 }

@@ -12,30 +12,23 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/relalg"
-	"repro/internal/tuple"
 )
 
-// This file implements the cold-spill tier: derived-view images and cached
-// join indexes untouched for a configurable window serialize to disk
-// (reusing the tuple row encodings the btrees and delta tables store) and
-// reload lazily on next access. Spill files are volatile per-process
-// state: the facade creates a fresh spill directory per instance, so a
-// restarted process never consults a predecessor's files — after a crash,
-// images are rematerialized and cache indexes rebuilt from the heaps, the
-// same as before spill existed. The two kinds differ in recoverability:
-//
-//   - A cached index is always reconstructible from the heap, so any load
-//     failure (missing file, corruption, a delta prune past the spilled
-//     watermark) silently falls back to a rebuild.
-//   - A derived image is NOT reconstructible in-process once its delta
-//     prefix has been folded away, so loads validate strictly (magic,
-//     image time, CRC) and surface ErrSpillLost on failure.
+// This file implements the cold-spill tier: derived-view images untouched
+// for a configurable window serialize to disk (reusing the tuple row
+// encodings the btrees and delta tables store) and reload lazily on next
+// access. Spill files are volatile per-process state: the facade creates a
+// fresh spill directory per instance, so a restarted process never
+// consults a predecessor's files — after a crash, images are
+// rematerialized, the same as before spill existed. A derived image is NOT
+// reconstructible in-process once its delta prefix has been folded away,
+// so loads validate strictly (magic, image time, CRC) and surface
+// ErrSpillLost on failure.
 const (
 	spillMagic   = 0x524a5350 // "RJSP"
 	spillVersion = 1
 
 	spillKindImage = 1 // derived-view base image
-	spillKindCache = 2 // cached join index
 )
 
 // errBadSpill marks a structurally invalid spill file.
@@ -140,10 +133,9 @@ func spillFileName(dir, kind, name string) string {
 	return filepath.Join(dir, kind+"-"+hex.EncodeToString([]byte(name))+".rjsp")
 }
 
-// SpillIdle serializes cold resident state — derived-view images and
-// cached join indexes untouched since cutoff — into dir and drops the
-// in-memory copies, returning how many objects were spilled. Spilled state
-// reloads lazily on next access.
+// SpillIdle serializes the derived-view images untouched since cutoff into
+// dir and drops the in-memory copies, returning how many images were
+// spilled. Spilled images reload lazily on next access.
 func (db *DB) SpillIdle(dir string, cutoff time.Time) (int, error) {
 	db.mu.RLock()
 	dvs := make([]*Derived, 0, len(db.derived))
@@ -161,8 +153,7 @@ func (db *DB) SpillIdle(dir string, cutoff time.Time) (int, error) {
 			n++
 		}
 	}
-	cn, err := db.cache.spillIdle(dir, cutoff)
-	return n + cn, err
+	return n, nil
 }
 
 // imageResidentBytes reports the current in-memory footprint of derived
@@ -315,193 +306,3 @@ func (dv *Derived) loadLocked() error {
 
 // touch stamps the derived relation as recently used.
 func (dv *Derived) touch() { dv.lastTouch.Store(time.Now().UnixNano()) }
-
-// spillIdle walks the cached indexes and spills those untouched since
-// cutoff.
-func (jc *JoinCache) spillIdle(dir string, cutoff time.Time) (int, error) {
-	jc.mu.Lock()
-	states := make([]*CachedIndex, 0, len(jc.states))
-	for _, st := range jc.states {
-		states = append(states, st)
-	}
-	jc.mu.Unlock()
-	n := 0
-	for _, st := range states {
-		spilled, err := st.spillIfIdle(jc.db, dir, cutoff)
-		if err != nil {
-			return n, err
-		}
-		if spilled {
-			n++
-		}
-	}
-	return n, nil
-}
-
-// spillIfIdle serializes a built index untouched since cutoff and drops
-// its resident rows (returning their footprint to the gauges via
-// resetLocked — the same decrement an invalidation performs).
-func (st *CachedIndex) spillIfIdle(db *DB, dir string, cutoff time.Time) (bool, error) {
-	if st.lastTouch.Load() >= cutoff.UnixNano() {
-		return false, nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.built || st.nrows == 0 || st.lastTouch.Load() >= cutoff.UnixNano() {
-		return false, nil
-	}
-	if err := fault.Inject(fault.PointSpillWrite); err != nil {
-		return false, err
-	}
-	path := spillFileName(dir, fmt.Sprintf("idx%d", st.col), st.table)
-	applied := st.applied
-	size, err := writeSpillFile(path, func(cw *crcWriter) error {
-		if err := writeUvarint(cw, spillKindCache); err != nil {
-			return err
-		}
-		if err := writeBytes(cw, []byte(st.table)); err != nil {
-			return err
-		}
-		if err := writeUvarint(cw, uint64(st.col)); err != nil {
-			return err
-		}
-		if err := writeUvarint(cw, uint64(applied)); err != nil {
-			return err
-		}
-		if err := writeUvarint(cw, uint64(st.nrows)); err != nil {
-			return err
-		}
-		var cnt [binary.MaxVarintLen64]byte
-		emit := func(rows []cachedRow) error {
-			for _, cr := range rows {
-				if err := writeBytes(cw, []byte(cr.enc)); err != nil {
-					return err
-				}
-				n := binary.PutVarint(cnt[:], cr.row.Count)
-				if _, err := cw.Write(cnt[:n]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, m := range st.shards {
-			for _, b := range m {
-				if err := emit(b); err != nil {
-					return err
-				}
-			}
-		}
-		for _, b := range st.heavy {
-			if err := emit(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return false, err
-	}
-	st.resetLocked(db)
-	st.spilled = true
-	st.spillPath = path
-	st.spillApplied = applied
-	db.noteSpill(size)
-	return true, nil
-}
-
-// loadSpillLocked tries to restore a spilled index instead of rebuilding
-// from the heap. It reports whether the index is now built; any failure —
-// missing or corrupt file, or the delta stream pruned past the spilled
-// watermark (the window needed to advance it is gone) — clears the spill
-// marker and returns false so the caller falls back to buildLocked. Caller
-// holds mu in write mode.
-func (st *CachedIndex) loadSpillLocked(db *DB) bool {
-	if !st.spilled {
-		return false
-	}
-	path, applied := st.spillPath, st.spillApplied
-	st.spilled = false
-	st.spillPath = ""
-	st.spillApplied = 0
-	defer os.Remove(path)
-	if err := fault.Inject(fault.PointSpillLoad); err != nil {
-		return false
-	}
-	d, err := db.Delta(st.table)
-	if err != nil || d.PrunedThrough() > applied {
-		return false
-	}
-	type loaded struct {
-		row   tuple.Tuple
-		count int64
-	}
-	var rows []loaded
-	err = readSpillFile(path, func(cr *crcReader) error {
-		kind, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return err
-		}
-		if kind != spillKindCache {
-			return fmt.Errorf("%w: kind %d, want cache", errBadSpill, kind)
-		}
-		table, err := readBytes(cr)
-		if err != nil {
-			return err
-		}
-		col, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return err
-		}
-		if string(table) != st.table || int(col) != st.col {
-			return fmt.Errorf("%w: index (%s, %d), want (%s, %d)", errBadSpill, table, col, st.table, st.col)
-		}
-		at, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return err
-		}
-		if relalg.CSN(at) != applied {
-			return fmt.Errorf("%w: applied %d, want %d", errBadSpill, at, applied)
-		}
-		n, err := binary.ReadUvarint(cr)
-		if err != nil {
-			return err
-		}
-		rows = make([]loaded, 0, n)
-		for i := uint64(0); i < n; i++ {
-			enc, err := readBytes(cr)
-			if err != nil {
-				return err
-			}
-			count, err := binary.ReadVarint(cr)
-			if err != nil {
-				return err
-			}
-			row, _, err := tuple.DecodeRow(enc)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, loaded{row: row, count: count})
-		}
-		return nil
-	})
-	if err != nil {
-		return false
-	}
-	// Re-check the prune watermark after the read: a concurrent fold may
-	// have pruned the delta while the file streamed in.
-	if d.PrunedThrough() > applied {
-		return false
-	}
-	st.resetLocked(db)
-	for _, r := range rows {
-		st.foldLocked(db, r.row, r.count)
-	}
-	st.applied = applied
-	st.built = true
-	db.noteColdLoad()
-	return true
-}
-
-// touch stamps the cached index as recently used. Safe under the read
-// lock (the stamp is atomic).
-func (st *CachedIndex) touch() { st.lastTouch.Store(time.Now().UnixNano()) }

@@ -170,122 +170,6 @@ func TestCompactThroughLeavesColdImageCold(t *testing.T) {
 	}
 }
 
-// TestCacheSpillReloadMatchesUncached spills built join-cache indexes,
-// answers the next propagation window through the reloaded state, and
-// verifies the output against the uncached scan path. It also checks the
-// resident-bytes gauges drop to zero at spill time (the same decrement an
-// invalidation performs) and climb back after the reload.
-func TestCacheSpillReloadMatchesUncached(t *testing.T) {
-	db := buildStar(t)
-	db.SetTriggerSink(&deltaMirror{db})
-	hi1 := mutateStar(t, db, 9, 0)
-
-	dest1, _ := db.CreateStandaloneDelta("dest-uncached", starResultSchema())
-	dest2, _ := db.CreateStandaloneDelta("dest-cached", starResultSchema())
-	if _, _, _, err := db.ExecutePropagationCached(starQuery(0, 0, hi1), 1, dest2, hi1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.Stats(); st.CacheResidentRows == 0 || st.CacheResidentBytes == 0 {
-		t.Fatal("built cache should be resident")
-	}
-
-	dir := t.TempDir()
-	n, err := db.SpillIdle(dir, futureCutoff())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no cache state spilled")
-	}
-	st := db.Stats()
-	if st.CacheResidentRows != 0 || st.CacheResidentBytes != 0 {
-		t.Fatalf("spill left resident gauges at rows=%d bytes=%d", st.CacheResidentRows, st.CacheResidentBytes)
-	}
-	if st.SpilledBytes == 0 {
-		t.Fatal("SpilledBytes not accounted")
-	}
-	builds := st.CacheBuilds
-
-	// The next window must reload (not rebuild) and still match uncached.
-	hi2 := mutateStar(t, db, 9, 3)
-	q := starQuery(0, hi1, hi2)
-	if _, _, _, err := db.ExecutePropagation(q, 1, dest1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := db.ExecutePropagationCached(q, 1, dest2, hi2, nil); err != nil {
-		t.Fatal(err)
-	}
-	st = db.Stats()
-	if st.ColdLoads == 0 {
-		t.Fatal("no cold loads recorded")
-	}
-	if st.CacheBuilds != builds {
-		t.Fatalf("reload should not rebuild: %d -> %d builds", builds, st.CacheBuilds)
-	}
-	for ts := hi1 + 1; ts <= hi2; ts++ {
-		if !relalg.Equivalent(dest1.Window(ts-1, ts), dest2.Window(ts-1, ts)) {
-			t.Fatalf("timed delta tables differ at ts=%d", ts)
-		}
-	}
-}
-
-// TestCacheSpillCorruptFallsBackToRebuild damages a spilled index file; the
-// next cached query must silently rebuild from the heap and stay correct.
-func TestCacheSpillCorruptFallsBackToRebuild(t *testing.T) {
-	db := buildStar(t)
-	db.SetTriggerSink(&deltaMirror{db})
-	hi1 := mutateStar(t, db, 9, 0)
-
-	dest1, _ := db.CreateStandaloneDelta("dest-uncached", starResultSchema())
-	dest2, _ := db.CreateStandaloneDelta("dest-cached", starResultSchema())
-	if _, _, _, err := db.ExecutePropagationCached(starQuery(0, 0, hi1), 1, dest2, hi1, nil); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if n, err := db.SpillIdle(dir, futureCutoff()); err != nil || n == 0 {
-		t.Fatalf("spill: n=%d err=%v", n, err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil || len(ents) == 0 {
-		t.Fatalf("no spill files: %v (%v)", ents, err)
-	}
-	for _, e := range ents {
-		p := filepath.Join(dir, e.Name())
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[len(b)-1] ^= 0xFF // break the CRC trailer
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	builds := db.Stats().CacheBuilds
-
-	hi2 := mutateStar(t, db, 9, 3)
-	q := starQuery(0, hi1, hi2)
-	if _, _, _, err := db.ExecutePropagation(q, 1, dest1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := db.ExecutePropagationCached(q, 1, dest2, hi2, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := db.Stats()
-	if st.CacheBuilds <= builds {
-		t.Fatal("corrupt spill file should force a rebuild")
-	}
-	for ts := hi1 + 1; ts <= hi2; ts++ {
-		if !relalg.Equivalent(dest1.Window(ts-1, ts), dest2.Window(ts-1, ts)) {
-			t.Fatalf("timed delta tables differ at ts=%d", ts)
-		}
-	}
-	// The damaged files were discarded so they can never satisfy a later
-	// load.
-	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
-		t.Fatalf("damaged spill files not removed: %v", ents)
-	}
-}
-
 // TestHorizonLedgerFloor pins and unpins named horizons and checks the
 // floor composes the stable CSN, pins, and open snapshots.
 func TestHorizonLedgerFloor(t *testing.T) {

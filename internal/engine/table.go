@@ -365,7 +365,7 @@ func (t *Table) sliceShards(spec *PartSpec) ([]*btree.Tree, bool) {
 		return t.shards, false
 	}
 	if spec.N == t.nparts {
-		return t.shards[spec.shard() : spec.shard()+1], true
+		return t.shards[spec.Part : spec.Part+1], true
 	}
 	return t.shards, false
 }
@@ -408,7 +408,7 @@ func (t *Table) scanAsOfPart(pred relalg.Predicate, asOf relalg.CSN, spec *PartS
 	defer t.latch.RUnlock()
 	out := relalg.NewRelation(t.schema)
 	shards, pure := t.sliceShards(spec)
-	filter := spec.sliced()
+	filter := spec.sliced() && !pure
 	for _, sh := range shards {
 		it := sh.First()
 		for ; it.Valid(); it.Next() {
@@ -416,7 +416,7 @@ func (t *Table) scanAsOfPart(pred relalg.Predicate, asOf relalg.CSN, spec *PartS
 			if !visibleAt(born, dead, asOf) {
 				continue
 			}
-			if filter && !spec.admits(row[t.partCol], pure) {
+			if filter && !spec.admits(row[t.partCol]) {
 				continue
 			}
 			if pred != nil && !pred.Eval(row) {

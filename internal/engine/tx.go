@@ -205,10 +205,10 @@ func (tx *Tx) AppendDeltaEncoded(d *DeltaTable, ts relalg.CSN, count int64, encR
 // the commit CSN before the CSN becomes stable and the locks release.
 func (tx *Tx) Commit() (relalg.CSN, error) {
 	if tx.db.replica {
-		// Quiet commit: keep the transaction's effects (delta appends, cache
-		// updates) and release its locks, but mint no CSN and write no WAL
-		// record — a follower's time axis is the leader's CSN sequence, and
-		// its log holds only shipped leader bytes. Base writes are already
+		// Quiet commit: keep the transaction's effects (delta appends) and
+		// release its locks, but mint no CSN and write no WAL record — a
+		// follower's time axis is the leader's CSN sequence, and its log
+		// holds only shipped leader bytes. Base writes are already
 		// impossible here (Insert/DeleteWhere gate on ErrReadOnly), so there
 		// are no stamps to publish.
 		return 0, tx.db.tm.CommitQuiet(tx.inner)

@@ -199,74 +199,3 @@ func (j *IndexLoopJoin) Close() error {
 	j.in = nil
 	return j.Left.Close()
 }
-
-// CachedProbeJoin streams its left child and, for each row, probes a
-// resident join-state cache bucket through ProbeFn. Unlike IndexLoopJoin's
-// heap probes (always count one), cached rows carry net counts, so matches
-// combine with the full rule: count product, minimum non-null timestamp.
-// ProbeFn receives an emit callback instead of returning a slice so the
-// cache can stream bucket entries without allocating per probe; the
-// callback is built once per Open and parameterized through operator
-// fields, keeping the probe loop closure-allocation-free.
-type CachedProbeJoin struct {
-	Left Operator
-	// LeftCol is the probe key column within the left row.
-	LeftCol int
-	// ProbeFn calls emit for every cached row matching the key value.
-	ProbeFn func(v tuple.Value, emit func(relalg.Row))
-	// Size caps left-batch rows; 0 means DefaultBatchSize.
-	Size int
-	// A, when set, recycles the left batch.
-	A *Arena
-
-	in   *relalg.Batch
-	out  *relalg.Batch
-	li   int
-	emit func(relalg.Row)
-	done bool
-}
-
-// Open implements Operator.
-func (j *CachedProbeJoin) Open() error {
-	j.done = false
-	j.in = j.A.Batch(batchSize(j.Size))
-	if j.emit == nil {
-		j.emit = func(m relalg.Row) { j.out.AppendJoinedRow(j.in, j.li, m) }
-	}
-	return j.Left.Open()
-}
-
-// Next implements Operator.
-func (j *CachedProbeJoin) Next(out *relalg.Batch) (bool, error) {
-	out.Reset()
-	if j.done {
-		return false, nil
-	}
-	j.out = out
-	for {
-		ok, err := j.Left.Next(j.in)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			j.done = true
-			return out.Len() > 0, nil
-		}
-		n := j.in.Len()
-		for li := 0; li < n; li++ {
-			j.li = li
-			j.ProbeFn(j.in.ValueAt(li, j.LeftCol), j.emit)
-		}
-		if out.Len() >= 1 {
-			return true, nil
-		}
-	}
-}
-
-// Close implements Operator.
-func (j *CachedProbeJoin) Close() error {
-	j.A.PutBatch(j.in)
-	j.in = nil
-	j.out = nil
-	return j.Left.Close()
-}

@@ -58,13 +58,6 @@ const (
 	// PointRestore fires at the start of snapshot restore, before any state
 	// is loaded.
 	PointRestore = "restore"
-	// PointMigrate fires as the heavy/light classifier migrates a join key
-	// between the generic hash path and a dedicated heavy partition
-	// (engine partitioning, DESIGN.md §9). An injected error aborts the
-	// migration, leaving the old classification; a crash here must be
-	// recoverable because classifier and resident partial state are
-	// volatile and rebuilt from durable storage.
-	PointMigrate = "migrate"
 	// PointFold fires at the start of a delta-prefix fold pass, before any
 	// image is compacted or delta prefix pruned. Folding touches only
 	// volatile state (images and delta tables are rebuilt from the WAL), so
@@ -75,8 +68,8 @@ const (
 	// synced, before the atomic rename publishes the link.
 	PointChainWrite  = "chain/write"
 	PointChainRename = "chain/rename"
-	// PointSpillWrite fires before cold state (a derived-view image or a
-	// cached join index) is serialized to the spill directory;
+	// PointSpillWrite fires before a cold derived-view image is serialized
+	// to the spill directory;
 	// PointSpillLoad fires before a spilled file is read back on access.
 	PointSpillWrite = "spill/write"
 	PointSpillLoad  = "spill/load"

@@ -4,7 +4,7 @@ import "runtime"
 
 // AllocSampler reports heap-allocation deltas between successive samples,
 // for attributing allocation churn to phases of a long run (rollload's
-// periodic reports, the per-step alloc counters of the cache benchmarks).
+// periodic reports).
 // It reads runtime.MemStats, which stops the world briefly; sample at
 // reporting cadence, not per operation.
 type AllocSampler struct {

@@ -182,25 +182,6 @@ func (b *Batch) AppendJoined(l *Batch, li int, r *Batch, ri int) {
 	b.n++
 }
 
-// AppendJoinedRow appends the join combination of row li of l with a
-// materialized Row (the cached-probe path: matches live in the resident
-// join-state cache as Rows).
-func (b *Batch) AppendJoinedRow(l *Batch, li int, m Row) {
-	count := l.CountAt(li) * m.Count
-	ts := MinTS(l.TSAt(li), m.TS)
-	lp := l.phys(li)
-	b.setArity(l.ncols + len(m.Tuple))
-	for c := 0; c < l.ncols; c++ {
-		b.cols[c].appendFrom(&l.cols[c], lp)
-	}
-	for c, v := range m.Tuple {
-		b.cols[l.ncols+c].appendValue(v)
-	}
-	b.counts = append(b.counts, count)
-	b.tss = append(b.tss, ts)
-	b.n++
-}
-
 // AppendConcatTuple appends row li of l concatenated with a bare probe
 // tuple, keeping l's count and timestamp (the index-nested-loop path:
 // probe results are base rows with no count/timestamp of their own).

@@ -219,14 +219,14 @@ func TestBatchJoinAppends(t *testing.T) {
 		r.Add(tuple.Tuple{tuple.Float(0.5)}, 3, NullTS)
 		out := newBatch(2)
 		out.AppendJoined(l, 0, r, 0)
-		out.AppendJoinedRow(l, 0, Row{Tuple: tuple.Tuple{tuple.Bool(true)}, Count: -1, TS: 4})
+		out.AppendConcatTuple(l, 0, tuple.Tuple{tuple.Bool(true)})
 		got := out.RowAt(0)
 		if got.Count != 6 || got.TS != 9 || len(got.Tuple) != 3 {
 			t.Fatalf("AppendJoined = %+v", got)
 		}
 		got = out.RowAt(1)
-		if got.Count != -2 || got.TS != 4 || !got.Tuple[2].AsBool() {
-			t.Fatalf("AppendJoinedRow = %+v", got)
+		if got.Count != 2 || got.TS != 9 || !got.Tuple[2].AsBool() {
+			t.Fatalf("AppendConcatTuple = %+v", got)
 		}
 	})
 }

@@ -197,8 +197,8 @@ func (m *Manager) WaitStable(csn relalg.CSN) {
 // time axis is the leader's CSN sequence replayed from the shipped log, so
 // follower-side propagation must not mint CSNs of its own — doing so would
 // desynchronize the replica's clock from the leader's. The transaction's
-// effects (delta-table appends, cache updates) stand; undo actions are
-// discarded and locks release as on a normal commit.
+// effects (delta-table appends) stand; undo actions are discarded and
+// locks release as on a normal commit.
 func (m *Manager) CommitQuiet(t *Txn) error {
 	if t.state != StateActive {
 		return ErrTxnDone

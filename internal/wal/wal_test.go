@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -75,70 +76,133 @@ func TestReaderFromOffset(t *testing.T) {
 	}
 }
 
-func TestRecoveryTruncatesTornTail(t *testing.T) {
-	dev := NewMemDevice()
-	l, _ := NewLog(dev)
-	for _, rec := range sampleRecords() {
-		l.Append(rec)
+// tornTailDevice is one Device backend the torn-tail recovery tests run
+// over. open returns a fresh empty device plus two hooks: restart
+// simulates a process restart after the crash, returning a device over the
+// same bytes (the MemDevice itself; a FileDevice closed and reopened from
+// its path), and stored reports how many bytes the backend holds (for a
+// FileDevice, the file's size on disk).
+type tornTailDevice struct {
+	name string
+	open func(t *testing.T) (dev Device, restart func() Device, stored func() int64)
+}
+
+func tornTailDevices() []tornTailDevice {
+	return []tornTailDevice{
+		{"mem", func(t *testing.T) (Device, func() Device, func() int64) {
+			dev := NewMemDevice()
+			return dev, func() Device { return dev }, dev.Size
+		}},
+		{"file", func(t *testing.T) (Device, func() Device, func() int64) {
+			path := filepath.Join(t.TempDir(), "torn.wal")
+			dev, err := OpenFileDevice(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := dev
+			t.Cleanup(func() { cur.Close() })
+			restart := func() Device {
+				if err := cur.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if cur, err = OpenFileDevice(path); err != nil {
+					t.Fatal(err)
+				}
+				return cur
+			}
+			stored := func() int64 {
+				fi, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fi.Size()
+			}
+			return dev, restart, stored
+		}},
 	}
-	goodSize := l.Size()
-	// Simulate a torn write: append garbage half-frame.
-	dev.Append([]byte{9, 0, 0, 0}) // length header only, no payload
-	l2, err := NewLog(dev)
+}
+
+// tornLog writes the sample records to a fresh device, appends a torn
+// suffix, restarts, and recovers. It returns the recovered log, the size
+// of the intact prefix, and the backend's stored-size hook.
+func tornLog(t *testing.T, td tornTailDevice, torn []byte) (*Log, int64, func() int64) {
+	dev, restart, stored := td.open(t)
+	l, err := NewLog(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.Size() != goodSize {
-		t.Fatalf("recovered size %d, want %d", l2.Size(), goodSize)
-	}
-	// The torn tail must be physically removed so new appends start at a
-	// frame boundary instead of interleaving with the garbage suffix.
-	if dev.Size() != goodSize {
-		t.Fatalf("device size %d after recovery, want torn tail truncated to %d", dev.Size(), goodSize)
-	}
-	// All records readable up to the good size, and a fresh append lands
-	// cleanly after them.
-	if _, err := l2.Append(&Record{Type: TypeBegin, TxID: 77}); err != nil {
-		t.Fatal(err)
-	}
-	r := l2.NewReader(0)
-	count := 0
-	var last *Record
-	for {
-		rec, err := r.Next()
-		if errors.Is(err, ErrNoMore) {
-			break
-		}
-		if err != nil {
+	for _, rec := range sampleRecords() {
+		if _, err := l.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		last = rec
-		count++
 	}
-	if count != len(sampleRecords())+1 {
-		t.Fatalf("recovered %d records", count)
+	goodSize := l.Size()
+	if err := dev.Append(torn); err != nil {
+		t.Fatal(err)
 	}
-	if last.Type != TypeBegin || last.TxID != 77 {
-		t.Fatalf("post-recovery append mangled: %+v", last)
+	l2, err := NewLog(restart())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l2, goodSize, stored
+}
+
+func TestRecoveryTruncatesTornTail(t *testing.T) {
+	for _, td := range tornTailDevices() {
+		t.Run(td.name, func(t *testing.T) {
+			// A torn write: a length header only, no payload.
+			l2, goodSize, stored := tornLog(t, td, []byte{9, 0, 0, 0})
+			if l2.Size() != goodSize {
+				t.Fatalf("recovered size %d, want %d", l2.Size(), goodSize)
+			}
+			// The torn tail must be physically removed so new appends start
+			// at a frame boundary instead of interleaving with the garbage
+			// suffix.
+			if got := stored(); got != goodSize {
+				t.Fatalf("stored size %d after recovery, want torn tail truncated to %d", got, goodSize)
+			}
+			// All records readable up to the good size, and a fresh append
+			// lands cleanly after them.
+			if _, err := l2.Append(&Record{Type: TypeBegin, TxID: 77}); err != nil {
+				t.Fatal(err)
+			}
+			r := l2.NewReader(0)
+			count := 0
+			var last *Record
+			for {
+				rec, err := r.Next()
+				if errors.Is(err, ErrNoMore) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				last = rec
+				count++
+			}
+			if count != len(sampleRecords())+1 {
+				t.Fatalf("recovered %d records", count)
+			}
+			if last.Type != TypeBegin || last.TxID != 77 {
+				t.Fatalf("post-recovery append mangled: %+v", last)
+			}
+		})
 	}
 }
 
 func TestRecoveryTruncatesTornPayload(t *testing.T) {
-	dev := NewMemDevice()
-	l, _ := NewLog(dev)
-	for _, rec := range sampleRecords() {
-		l.Append(rec)
-	}
-	goodSize := l.Size()
-	// A torn append that got the header plus part of the payload down: the
-	// declared frame length runs past the device end.
-	dev.Append([]byte{200, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
-	l2, err := NewLog(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l2.Size() != goodSize || dev.Size() != goodSize {
-		t.Fatalf("recovered size %d device %d, want both %d", l2.Size(), dev.Size(), goodSize)
+	for _, td := range tornTailDevices() {
+		t.Run(td.name, func(t *testing.T) {
+			// A torn append that got the header plus part of the payload
+			// down: the declared frame length runs past the device end.
+			l2, goodSize, stored := tornLog(t, td, []byte{200, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3})
+			if got := stored(); l2.Size() != goodSize || got != goodSize {
+				t.Fatalf("recovered size %d stored %d, want both %d", l2.Size(), got, goodSize)
+			}
+		})
 	}
 }
 

@@ -71,7 +71,7 @@ type TableSpec struct {
 	InsertFraction float64
 	// Skew, when positive, draws join keys from a Zipfian distribution
 	// with this exponent instead of uniformly — a few hot keys absorb most
-	// of the traffic, the regime the heavy/light partition split targets.
+	// of the traffic, the regime the partitioning layer is measured on.
 	// Zero keeps the exact uniform draw sequence of earlier revisions.
 	Skew float64
 }

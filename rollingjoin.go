@@ -53,9 +53,6 @@ type Options struct {
 	// maintenance pool. 0 defers to the ROLLINGJOIN_PARTITIONS environment
 	// variable, then 1 (the unpartitioned behavior).
 	Partitions int
-	// DisableHeavySplit turns off the heavy/light key classifier, keeping
-	// every key on the generic hash path (the plain-hash A/B arm).
-	DisableHeavySplit bool
 	// BatchSize caps the rows per batch in the streaming executor — the
 	// vectorization knob for scans, joins, and propagation queries. 0
 	// defers to the ROLLINGJOIN_BATCH environment variable, then the
@@ -69,10 +66,9 @@ type Options struct {
 	// sustained ingest. Point-in-time refresh above the fold line is
 	// unaffected.
 	FoldDeltas bool
-	// SpillDir enables cold spill: derived images and join-cache
-	// partitions untouched for SpillAfter serialize into a per-process
-	// subdirectory of SpillDir and reload lazily on next access. Empty
-	// disables spilling.
+	// SpillDir enables cold spill: derived images untouched for
+	// SpillAfter serialize into a per-process subdirectory of SpillDir and
+	// reload lazily on next access. Empty disables spilling.
 	SpillDir string
 	// SpillAfter is the idleness window before a structure is considered
 	// cold (default one minute).
@@ -138,11 +134,10 @@ type DB struct {
 // Open creates a database instance and starts its capture process.
 func Open(opts Options) (*DB, error) {
 	cfg := engine.Config{
-		SyncOnCommit:      opts.SyncOnCommit,
-		Partitions:        opts.Partitions,
-		DisableHeavySplit: opts.DisableHeavySplit,
-		BatchSize:         opts.BatchSize,
-		Replica:           opts.Follower,
+		SyncOnCommit: opts.SyncOnCommit,
+		Partitions:   opts.Partitions,
+		BatchSize:    opts.BatchSize,
+		Replica:      opts.Follower,
 	}
 	if opts.Device != nil {
 		cfg.Device = opts.Device
@@ -275,11 +270,6 @@ func (db *DB) Close() error {
 // Engine exposes the underlying engine for advanced use (benchmarks and
 // experiments).
 func (db *DB) Engine() *engine.DB { return db.eng }
-
-// SetJoinCache toggles the resident join-state cache for propagation
-// queries: eligible queries probe incrementally maintained hash indexes
-// over the base tables instead of scanning the heaps under table locks.
-func (db *DB) SetJoinCache(v bool) { db.eng.SetJoinCache(v) }
 
 // Source exposes the capture progress watermark.
 func (db *DB) Source() capture.Source {

@@ -163,9 +163,9 @@ func (db *DB) pruneBaseDeltasTo(limit CSN, all bool) int {
 }
 
 // spillStep is the cold-spill job's step function: serialize derived
-// images and join-cache partitions untouched since the idleness cutoff to
-// the spill directory, dropping the in-memory copies. Reports
-// core.ErrNoProgress when nothing was cold.
+// images untouched since the idleness cutoff to the spill directory,
+// dropping the in-memory copies. Reports core.ErrNoProgress when nothing
+// was cold.
 func (db *DB) spillStep() error {
 	n, err := db.eng.SpillIdle(db.spillDir, time.Now().Add(-db.spillAfter))
 	if err != nil {
