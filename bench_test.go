@@ -327,7 +327,7 @@ func BenchmarkAggregateStepAllocs(b *testing.B) {
 	// Seed every group so the timed steps update existing state.
 	ts := relalg.CSN(1)
 	for _, r := range rows {
-		up.AppendEncoded(ts, 1, r, tuple.Null())
+		up.AppendEncoded(ts, 1, r)
 	}
 	hwm = ts
 	if err := av.Step(); err != nil {
@@ -340,7 +340,7 @@ func BenchmarkAggregateStepAllocs(b *testing.B) {
 		b.StopTimer()
 		ts++
 		for _, r := range rows {
-			up.AppendEncoded(ts, 1, r, tuple.Null())
+			up.AppendEncoded(ts, 1, r)
 		}
 		hwm = ts
 		b.StartTimer()

@@ -44,12 +44,11 @@ type experimentResult struct {
 
 // report is the top-level BENCH_rollbench.json document.
 type report struct {
-	Quick       bool                     `json:"quick"`
-	Experiments []experimentResult       `json:"experiments"`
-	PartitionAB []bench.PartitionABEntry `json:"partition_ab,omitempty"`
-	CascadeAB   []bench.CascadeABEntry   `json:"cascade_ab,omitempty"`
-	CompactAB   []bench.CompactABEntry   `json:"compact_ab,omitempty"`
-	Failed      int                      `json:"failed"`
+	Quick       bool                   `json:"quick"`
+	Experiments []experimentResult     `json:"experiments"`
+	CascadeAB   []bench.CascadeABEntry `json:"cascade_ab,omitempty"`
+	CompactAB   []bench.CompactABEntry `json:"compact_ab,omitempty"`
+	Failed      int                    `json:"failed"`
 }
 
 func main() {
@@ -59,7 +58,6 @@ func main() {
 	flag.Parse()
 	scale := bench.Scale{Quick: *quick}
 
-	var partitionEntries []bench.PartitionABEntry
 	var cascadeEntries []bench.CascadeABEntry
 	var compactEntries []bench.CompactABEntry
 	experiments := []experiment{
@@ -89,12 +87,6 @@ func main() {
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A1(s) }},
 		{"A2", "ablation: fixed vs adaptive propagation intervals",
 			func(s bench.Scale) (fmt.Stringer, error) { return bench.A2(s) }},
-		{"PARTITION", "1 vs N hash partitions on a skewed star schema",
-			func(s bench.Scale) (fmt.Stringer, error) {
-				tbl, entries, err := bench.PartitionAB(s)
-				partitionEntries = entries
-				return tbl, err
-			}},
 		{"CASCADE", "3-level cascade refresh vs full recomputation",
 			func(s bench.Scale) (fmt.Stringer, error) {
 				tbl, entries, err := bench.CascadeAB(s)
@@ -118,7 +110,7 @@ func main() {
 		for _, id := range strings.Split(*run, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
 			if !known[id] {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 PARTITION CASCADE COMPACT)\n", id)
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (have F4 F7 F8 F9 E1–E7 A1 A2 CASCADE COMPACT)\n", id)
 				os.Exit(2)
 			}
 			selected[id] = true
@@ -156,7 +148,6 @@ func main() {
 			fmt.Printf("(%s verified in %s)\n\n", e.id, elapsed.Round(time.Millisecond))
 		}
 	}
-	rep.PartitionAB = partitionEntries
 	rep.CascadeAB = cascadeEntries
 	rep.CompactAB = compactEntries
 

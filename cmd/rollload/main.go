@@ -40,8 +40,6 @@ func main() {
 	interval := flag.Int64("interval", 16, "propagation interval (commits)")
 	adaptive := flag.Int("adaptive", 0, "adaptive target rows per query (0 = fixed interval)")
 	indexed := flag.Bool("index", false, "create hash indexes on the join columns")
-	workers := flag.Int("workers", 1, "concurrent propagation queries per view (worker pool size)")
-	partitions := flag.Int("partitions", 0, "hash partitions per base table (0 = ROLLINGJOIN_PARTITIONS env, then 1)")
 	batch := flag.Int("batch", 0, "executor batch size in rows (0 = ROLLINGJOIN_BATCH env, then 256)")
 	skew := flag.Float64("skew", 0, "zipf exponent for fact-table keys in the star workload (0 = uniform)")
 	report := flag.Duration("report", time.Second, "live report period")
@@ -66,7 +64,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*kind, *n, *dims, *rows, *updates, *views, *maint, *interval, *adaptive, *indexed, *workers, *partitions, *batch, *skew, *report, *seed, *faults); err != nil {
+	if err := run(*kind, *n, *dims, *rows, *updates, *views, *maint, *interval, *adaptive, *indexed, *batch, *skew, *report, *seed, *faults); err != nil {
 		fmt.Fprintln(os.Stderr, "rollload:", err)
 		os.Exit(1)
 	}
@@ -97,7 +95,7 @@ func classify(err error) sched.Outcome {
 	}
 }
 
-func run(kind string, n, dims, rows, updates, views, maint int, interval int64, adaptive int, indexed bool, workers, partitions, batch int, skew float64, report time.Duration, seed, faults int64) error {
+func run(kind string, n, dims, rows, updates, views, maint int, interval int64, adaptive int, indexed bool, batch int, skew float64, report time.Duration, seed, faults int64) error {
 	var w *workload.Workload
 	switch kind {
 	case "chain":
@@ -111,7 +109,7 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		views = 1
 	}
 
-	db, err := engine.Open(engine.Config{Partitions: partitions, BatchSize: batch})
+	db, err := engine.Open(engine.Config{BatchSize: batch})
 	if err != nil {
 		return err
 	}
@@ -144,7 +142,6 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 			return err
 		}
 		exec := core.NewExecutor(db, cap, w.View, dest)
-		exec.SetWorkers(workers)
 		exec.Metrics = core.NewExecMetrics()
 		mv, err := core.Materialize(db, w.View)
 		if err != nil {
@@ -173,11 +170,6 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		fault.Set(fault.PointApply, fault.ErrEvery(faults, fault.ErrInjected))
 	}
 	for i, inst := range insts {
-		if db.Partitions() > 1 {
-			// Per-slice jobs of a partitioned step fan out to the
-			// shared maintenance pool.
-			inst.exec.Spawn = s.TrySpawn
-		}
 		opts := sched.Options{
 			HWM:          inst.rp.HWM,
 			Classify:     classify,
@@ -204,8 +196,8 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 	}
 	cap.OnProgress(func(csn relalg.CSN) { s.Notify(csn) })
 
-	fmt.Printf("workload=%s views=%d view=%s relations=%d initial-rows=%d updates=%d partitions=%d batch=%d\n\n",
-		kind, views, w.View.Name, w.View.N(), rows, updates, db.Partitions(), db.BatchSize())
+	fmt.Printf("workload=%s views=%d view=%s relations=%d initial-rows=%d updates=%d batch=%d\n\n",
+		kind, views, w.View.Name, w.View.N(), rows, updates, db.BatchSize())
 
 	minHWM := func() relalg.CSN {
 		h := insts[0].rp.HWM()
@@ -325,8 +317,8 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 	fmt.Printf("updates:              %d in %s (%.0f/s)\n", updates, wall.Round(time.Millisecond), float64(updates)/wall.Seconds())
 	fmt.Printf("writer latency:       mean %s  p99 %s  max %s\n",
 		lat.Mean().Round(time.Microsecond), lat.Quantile(0.99).Round(time.Microsecond), lat.Max().Round(time.Microsecond))
-	fmt.Printf("propagation:          %d forward + %d compensation queries, %d skipped empty (%d views, %d workers)\n",
-		fwd, comp, skipped, views, insts[0].exec.Workers())
+	fmt.Printf("propagation:          %d forward + %d compensation queries, %d skipped empty (%d views)\n",
+		fwd, comp, skipped, views)
 	fmt.Printf("query latency:        mean %s  p99 %s  max %s\n",
 		insts[0].exec.Metrics.Latency.Mean().Round(time.Microsecond),
 		insts[0].exec.Metrics.Latency.Quantile(0.99).Round(time.Microsecond),
@@ -351,15 +343,6 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		fmt.Printf("batch pipeline:       %d batches (%.1f rows/batch, cap %d), filters kept %d/%d rows (%.0f%%), arena ~%d KiB\n",
 			st.BatchesProduced, rowsPerBatch, db.BatchSize(),
 			st.FilterRowsKept, st.FilterRowsIn, keepPct, st.ArenaBytes/1024)
-	}
-	if st.Partitions > 1 {
-		var sliceJobs int64
-		for _, v := range st.PartSliceJobs {
-			sliceJobs += v
-		}
-		fmt.Printf("partitions:           %d-way, %d slice jobs\n", st.Partitions, sliceJobs)
-		fmt.Printf("  per partition:      scanned=%v delta=%v jobs=%v\n",
-			st.PartRowsScanned, st.PartDeltaRows, st.PartSliceJobs)
 	}
 	a := allocs.Sample()
 	fmt.Printf("allocations:          %d objects, %d MiB since driver start\n",

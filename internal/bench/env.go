@@ -77,20 +77,8 @@ func NewEnvBare(w *workload.Workload, seed int64) (*Env, error) {
 	return newEnv(w, seed, false)
 }
 
-// NewEnvCfg is NewEnv with an explicit engine configuration — the
-// partition experiments use it to pin Partitions per arm (an explicit 1
-// bypasses the ROLLINGJOIN_PARTITIONS environment hook). indexed selects
-// between index-nested-loop and scan propagation, as NewEnv vs NewEnvBare.
-func NewEnvCfg(w *workload.Workload, seed int64, indexed bool, cfg engine.Config) (*Env, error) {
-	return newEnvCfg(w, seed, indexed, cfg)
-}
-
 func newEnv(w *workload.Workload, seed int64, indexed bool) (*Env, error) {
-	return newEnvCfg(w, seed, indexed, engine.Config{})
-}
-
-func newEnvCfg(w *workload.Workload, seed int64, indexed bool, cfg engine.Config) (*Env, error) {
-	db, err := engine.Open(cfg)
+	db, err := engine.Open(engine.Config{})
 	if err != nil {
 		return nil, err
 	}

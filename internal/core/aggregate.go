@@ -541,11 +541,11 @@ func (av *AggView) applyStage(ts relalg.CSN, stage map[*aggGroup]*aggStage, emit
 		}
 		if emit && !bytes.Equal(g.prevEnc, newEnc) {
 			if g.prevEnc != nil {
-				av.dest.AppendEncoded(ts, -1, g.prevEnc, tuple.Null())
+				av.dest.AppendEncoded(ts, -1, g.prevEnc)
 				av.rowsEmitted.Add(1)
 			}
 			if newEnc != nil {
-				av.dest.AppendEncoded(ts, +1, newEnc, tuple.Null())
+				av.dest.AppendEncoded(ts, +1, newEnc)
 				av.rowsEmitted.Add(1)
 			}
 		}

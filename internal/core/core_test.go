@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -183,13 +184,22 @@ func TestMinTimestampInsertScenario(t *testing.T) {
 }
 
 // TestComputeDeltaOracle is the Theorem 4.1 oracle: for random histories
-// over 2- and 3-way views, ComputeDelta produces a timed delta table.
+// over 2- and 3-way views, ComputeDelta produces a timed delta table. The
+// fourth history commits multi-op transactions, whose rows across several
+// tables share one CSN and must form one boundary of the view delta.
 func TestComputeDeltaOracle(t *testing.T) {
 	for _, n := range []int{2, 3} {
-		for seed := int64(0); seed < 3; seed++ {
+		for seed := int64(0); seed < 4; seed++ {
 			env := newEnv(t, chainView("v", n))
 			r := rand.New(rand.NewSource(seed))
-			last := env.randomHistory(r, 40, 4)
+			var last relalg.CSN
+			if seed < 3 {
+				last = env.randomHistory(r, 40, 4)
+			} else {
+				for i := 0; i < 15; i++ {
+					last = env.multiOpTxn(r, 1+r.Intn(4), 6)
+				}
+			}
 			if err := env.exec.ComputeDelta(AllBase(env.view), make([]relalg.CSN, n), last); err != nil {
 				t.Fatal(err)
 			}
@@ -480,5 +490,97 @@ func TestPropagatorStepNoProgress(t *testing.T) {
 	rp := NewRollingPropagator(env.exec, 0, FixedInterval(5))
 	if err := rp.Step(); !errors.Is(err, ErrNoProgress) {
 		t.Fatalf("want ErrNoProgress, got %v", err)
+	}
+}
+
+// starView builds fact ⋈ dim1 ⋈ ... ⋈ dimN on k (all conds against input 0).
+func starView(name string, dims int) *ViewDef {
+	v := &ViewDef{Name: name, Relations: []string{"r1"}}
+	for i := 0; i < dims; i++ {
+		v.Relations = append(v.Relations, fmt.Sprintf("r%d", i+2))
+		v.Conds = append(v.Conds, engine.JoinCond{
+			A: engine.ColRef{Input: 0, Col: 0},
+			B: engine.ColRef{Input: i + 1, Col: 0},
+		})
+	}
+	return v
+}
+
+// TestConcurrentWritersOracle drives rolling propagation over a star view
+// while a writer goroutine keeps committing, then checks the timed-delta
+// oracle over the rolled range.
+func TestConcurrentWritersOracle(t *testing.T) {
+	for round := 0; round < 2; round++ {
+		t.Run(fmt.Sprintf("round=%d", round), func(t *testing.T) {
+			r := rand.New(rand.NewSource(int64(round*10 + 1)))
+			env := newEnv(t, starView(fmt.Sprintf("vc%d", round), 2))
+			rp := NewRollingPropagator(env.exec, 0, PerRelationIntervals(2, 5, 5))
+
+			done := make(chan relalg.CSN)
+			go func() {
+				var last relalg.CSN
+				for i := 0; i < 80; i++ {
+					table := env.view.Relations[r.Intn(env.view.N())]
+					k := int64(r.Intn(4))
+					if r.Intn(3) == 0 {
+						last = env.delete(table, k)
+					} else {
+						last = env.insert(table, k)
+					}
+				}
+				done <- last
+			}()
+
+			var last relalg.CSN
+			writerDone := false
+			for !writerDone || rp.HWM() < last {
+				select {
+				case last = <-done:
+					writerDone = true
+				default:
+				}
+				if err := rp.Step(); err != nil && err != ErrNoProgress {
+					t.Fatal(err)
+				}
+			}
+			env.checkTimedDelta(0, rp.HWM())
+		})
+	}
+}
+
+// TestExecStatsConsistent checks that the executor's stats add up: every
+// executed query is either forward or compensation, once in the trace and
+// once in each metrics histogram, and the rows/batches counters agree with
+// the metrics sums.
+func TestExecStatsConsistent(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	env := newEnv(t, chainView("vstat", 2))
+	env.exec.Metrics = NewExecMetrics()
+	var traced int64
+	env.exec.OnQuery = func(TraceEntry) { traced++ }
+	last := env.randomHistory(r, 30, 4)
+	if err := env.cap.WaitProgress(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := env.exec.ComputeDelta(AllBase(env.view), []relalg.CSN{0, 0}, last); err != nil {
+		t.Fatal(err)
+	}
+	s := env.exec.Stats()
+	executed := s.ForwardQueries + s.CompensationQueries
+	if executed == 0 {
+		t.Fatal("no queries executed")
+	}
+	if traced != executed {
+		t.Fatalf("trace saw %d queries, stats say %d", traced, executed)
+	}
+	m := env.exec.Metrics
+	if int64(m.Latency.Count()) != executed || int64(m.Rows.Count()) != executed {
+		t.Fatalf("metrics samples %d/%d, want %d", m.Latency.Count(), m.Rows.Count(), executed)
+	}
+	if m.Rows.Sum() != s.RowsProduced {
+		t.Fatalf("metrics rows %d != stats rows %d", m.Rows.Sum(), s.RowsProduced)
+	}
+	if m.Batches.Sum() != s.BatchesProduced {
+		t.Fatalf("metrics batches %d != stats batches %d", m.Batches.Sum(), s.BatchesProduced)
 	}
 }

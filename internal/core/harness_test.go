@@ -54,15 +54,7 @@ func chainView(name string, n int) *ViewDef {
 
 func newEnv(t *testing.T, view *ViewDef) *testEnv {
 	t.Helper()
-	return newEnvCfg(t, view, engine.Config{})
-}
-
-// newEnvCfg is newEnv with an explicit engine configuration; partition
-// tests use it to pin Partitions per subtest (an explicit 1 bypasses the
-// ROLLINGJOIN_PARTITIONS environment hook).
-func newEnvCfg(t *testing.T, view *ViewDef, cfg engine.Config) *testEnv {
-	t.Helper()
-	db, err := engine.Open(cfg)
+	db, err := engine.Open(engine.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -183,20 +183,12 @@ func (r *RollingPropagator) Step() error {
 	// query executes through the read view at hi, and compensation
 	// re-expresses every relation left of i at w. Delta windows are
 	// immutable once capture passes hi, so slices of the same cell may run
-	// in any order (and concurrently with slices of other cells).
+	// in any order.
 	tauOld := make([]relalg.CSN, len(r.cell))
 	for j := range tauOld {
 		tauOld[j] = w
 	}
-	// With a partitioned engine the step decomposes into independent
-	// per-partition slice jobs that fan out to the scheduler pool and
-	// merge under the shared boundary ledger: cell[i] advances once,
-	// below, after every slice has completed.
-	if specs := r.exec.sliceSpecs(i); len(specs) > 0 {
-		if err := r.exec.propagateSlices(AllBase(r.exec.view), tauOld, hi, i, specs); err != nil {
-			return err
-		}
-	} else if err := r.exec.propagatePosition(AllBase(r.exec.view), tauOld, hi, 0, i); err != nil {
+	if err := r.exec.propagatePosition(AllBase(r.exec.view), tauOld, hi, 0, i); err != nil {
 		return err
 	}
 

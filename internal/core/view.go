@@ -135,12 +135,6 @@ type Position struct {
 	// Delta selects the delta-table form R^i_{Lo,Hi}.
 	Delta  bool
 	Lo, Hi relalg.CSN
-	// Slice optionally restricts a delta position to one hash-partition
-	// slice of its window. The engine extends the slice to co-partitioned
-	// base positions; compensation queries derived from a sliced query
-	// inherit the slice, so the whole subtree computes exactly the slice's
-	// share of the step.
-	Slice *engine.PartSpec
 }
 
 // PropQuery is a propagation query Q^V: the view's shape with some
@@ -161,16 +155,9 @@ func AllBase(v *ViewDef) *PropQuery {
 // WithDelta returns a copy of q with position i replaced by the delta
 // window (lo, hi].
 func (q *PropQuery) WithDelta(i int, lo, hi relalg.CSN) *PropQuery {
-	return q.WithDeltaSlice(i, lo, hi, nil)
-}
-
-// WithDeltaSlice is WithDelta restricted to one partition slice of the
-// introduced window. Other positions keep their slices, so a compensation
-// query introduced under a sliced step stays within the slice.
-func (q *PropQuery) WithDeltaSlice(i int, lo, hi relalg.CSN, slice *engine.PartSpec) *PropQuery {
 	pos := make([]Position, len(q.Pos))
 	copy(pos, q.Pos)
-	pos[i] = Position{Delta: true, Lo: lo, Hi: hi, Slice: slice}
+	pos[i] = Position{Delta: true, Lo: lo, Hi: hi}
 	return &PropQuery{View: q.View, Pos: pos, Sign: q.Sign}
 }
 
@@ -206,7 +193,7 @@ func (q *PropQuery) EngineQuery() *engine.Query {
 	inputs := make([]engine.Input, len(q.Pos))
 	for i, p := range q.Pos {
 		if p.Delta {
-			inputs[i] = engine.Input{Kind: engine.InputDelta, Table: q.View.Relations[i], Lo: p.Lo, Hi: p.Hi, Part: p.Slice}
+			inputs[i] = engine.Input{Kind: engine.InputDelta, Table: q.View.Relations[i], Lo: p.Lo, Hi: p.Hi}
 		} else {
 			inputs[i] = engine.Input{Kind: engine.InputBase, Table: q.View.Relations[i]}
 		}
@@ -232,9 +219,6 @@ func (q *PropQuery) String() string {
 		}
 		if p.Delta {
 			s += fmt.Sprintf("Δ%s(%d,%d]", q.View.Relations[i], p.Lo, p.Hi)
-			if p.Slice != nil {
-				s += fmt.Sprintf("[%d/%d]", p.Slice.Part, p.Slice.N)
-			}
 		} else {
 			s += q.View.Relations[i]
 		}

@@ -16,39 +16,18 @@ import (
 //
 // Base-table delta tables are appended by the capture process; view delta
 // tables are appended by propagation-query transactions.
-//
-// Like its base table, a delta table can be hash-partitioned: with
-// Partitions = N > 1, a change record lives in shard
-// hashPart(row[partCol], N). The sequence counter stays global, so keys
-// remain unique across shards and a merged iteration reproduces exactly
-// the single-tree (timestamp, sequence) order; WindowSpec and SliceEmpty
-// read the per-partition slices that partitioned propagation consumes.
 type DeltaTable struct {
 	base   string
 	schema *tuple.Schema
 
-	nparts  int
-	partCol int
-
 	latch  sync.RWMutex
-	shards []*btree.Tree // (ts 8B BE, seq 8B BE) -> (count varint, row)
+	rows   *btree.Tree // (ts 8B BE, seq 8B BE) -> (count varint, row)
 	seq    uint64
 	pruned relalg.CSN // highest PruneThrough bound ever applied
-
-	// onAppend, when set, is called after a successful append with the
-	// record's partition, outside the latch (per-partition counters).
-	onAppend func(part int)
 }
 
-func newDeltaTable(base string, schema *tuple.Schema, nparts, partCol int) *DeltaTable {
-	if nparts < 1 {
-		nparts = 1
-	}
-	shards := make([]*btree.Tree, nparts)
-	for i := range shards {
-		shards[i] = btree.New()
-	}
-	return &DeltaTable{base: base, schema: schema, nparts: nparts, partCol: partCol, shards: shards}
+func newDeltaTable(base string, schema *tuple.Schema) *DeltaTable {
+	return &DeltaTable{base: base, schema: schema, rows: btree.New()}
 }
 
 // Base returns the name of the table this delta describes.
@@ -58,34 +37,15 @@ func (d *DeltaTable) Base() string { return d.base }
 // implicit, carried by the relation rows).
 func (d *DeltaTable) Schema() *tuple.Schema { return d.schema }
 
-// Partitions returns the delta table's hash-partition count.
-func (d *DeltaTable) Partitions() int { return d.nparts }
-
 // Len returns the number of stored delta rows.
 func (d *DeltaTable) Len() int {
 	d.latch.RLock()
 	defer d.latch.RUnlock()
-	n := 0
-	for _, sh := range d.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// PartLen returns the number of stored delta rows in partition p.
-func (d *DeltaTable) PartLen(p int) int {
-	d.latch.RLock()
-	defer d.latch.RUnlock()
-	if p < 0 || p >= len(d.shards) {
-		return 0
-	}
-	return d.shards[p].Len()
+	return d.rows.Len()
 }
 
 func deltaKey(ts relalg.CSN, seq uint64) []byte {
-	// One spare byte of capacity so appending the shard to form the
-	// Append/AppendEncoded handle extends in place instead of reallocating.
-	b := make([]byte, 16, 17)
+	b := make([]byte, 16)
 	binary.BigEndian.PutUint64(b[0:8], uint64(ts))
 	binary.BigEndian.PutUint64(b[8:16], seq)
 	return b
@@ -108,159 +68,62 @@ func decodeDeltaVal(b []byte) (int64, tuple.Tuple) {
 	return count, row
 }
 
-// partFor returns the shard a change record for row routes to.
-func (d *DeltaTable) partFor(row tuple.Tuple) int {
-	if d.nparts <= 1 {
-		return 0
-	}
-	return hashPart(row[d.partCol], d.nparts)
-}
-
 // Append adds one change record with the given timestamp and count. It
 // returns a handle that Remove accepts (for transactional undo).
 func (d *DeltaTable) Append(ts relalg.CSN, count int64, row tuple.Tuple) (handle []byte) {
 	d.latch.Lock()
+	defer d.latch.Unlock()
 	d.seq++
-	part := d.partFor(row)
 	k := deltaKey(ts, d.seq)
-	d.shards[part].Put(k, encodeDeltaVal(count, row))
-	note := d.onAppend
-	d.latch.Unlock()
-	if note != nil {
-		note(part)
-	}
-	// The handle carries the shard so Remove routes without rehashing.
-	return append(k, byte(part))
+	d.rows.Put(k, encodeDeltaVal(count, row))
+	return k
 }
 
 // AppendEncoded adds one change record whose row is already in
 // tuple.EncodeRow form — the columnar propagation egress, which
 // serializes straight from batch columns without materializing tuples.
-// partVal must be the row's partition-column value (it routes the shard).
 // The encoded row is copied into a fresh value buffer, so the caller may
 // reuse encRow.
-func (d *DeltaTable) AppendEncoded(ts relalg.CSN, count int64, encRow []byte, partVal tuple.Value) (handle []byte) {
-	// One allocation per record, laid out [16-byte key | shard byte |
-	// value]: the btree retains the key and value slices (it never
-	// mutates them, so sharing one backing array is safe), and the
-	// 17-byte prefix is the handle. The key's capacity is clamped so no
-	// later append through it can reach the value bytes.
-	buf := make([]byte, 17, 17+binary.MaxVarintLen64+len(encRow))
+func (d *DeltaTable) AppendEncoded(ts relalg.CSN, count int64, encRow []byte) (handle []byte) {
+	// One allocation per record, laid out [16-byte key | value]: the
+	// btree retains the key and value slices (it never mutates them, so
+	// sharing one backing array is safe), and the key is the handle. Its
+	// capacity is clamped so no later append through it can reach the
+	// value bytes.
+	buf := make([]byte, 16, 16+binary.MaxVarintLen64+len(encRow))
 	buf = binary.AppendVarint(buf, count)
 	buf = append(buf, encRow...)
 	d.latch.Lock()
+	defer d.latch.Unlock()
 	d.seq++
-	part := 0
-	if d.nparts > 1 {
-		part = hashPart(partVal, d.nparts)
-	}
 	binary.BigEndian.PutUint64(buf[0:8], uint64(ts))
 	binary.BigEndian.PutUint64(buf[8:16], d.seq)
-	buf[16] = byte(part)
-	d.shards[part].Put(buf[:16:16], buf[17:])
-	note := d.onAppend
-	d.latch.Unlock()
-	if note != nil {
-		note(part)
-	}
-	return buf[:17]
+	d.rows.Put(buf[:16:16], buf[16:])
+	return buf[:16:16]
 }
 
 // Remove deletes a previously appended record by handle (undo path).
 func (d *DeltaTable) Remove(handle []byte) {
 	d.latch.Lock()
 	defer d.latch.Unlock()
-	if len(handle) == 17 {
-		d.shards[int(handle[16])].Delete(handle[:16])
-		return
-	}
-	for _, sh := range d.shards {
-		if sh.Delete(handle) {
-			return
-		}
-	}
-}
-
-// ascendMerged iterates the union of the shard trees in key order (the
-// global (timestamp, sequence) order), calling fn until it returns false.
-// Keys are globally unique (one sequence counter), so the merged order is
-// exactly the order of the unpartitioned single tree. Caller holds the
-// latch.
-func (d *DeltaTable) ascendMerged(start, end []byte, fn func(k, v []byte) bool) {
-	if len(d.shards) == 1 {
-		d.shards[0].Ascend(start, end, fn)
-		return
-	}
-	its := make([]*btree.Iterator, 0, len(d.shards))
-	for _, sh := range d.shards {
-		var it *btree.Iterator
-		if start == nil {
-			it = sh.First()
-		} else {
-			it = sh.Seek(start)
-		}
-		if it.Valid() {
-			its = append(its, it)
-		}
-	}
-	for {
-		best := -1
-		for i, it := range its {
-			if !it.Valid() {
-				continue
-			}
-			if best < 0 || string(it.Key()) < string(its[best].Key()) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		it := its[best]
-		if end != nil && string(it.Key()) >= string(end) {
-			return
-		}
-		if !fn(it.Key(), it.Value()) {
-			return
-		}
-		it.Next()
-	}
+	d.rows.Delete(handle)
 }
 
 // Window materializes σ_{lo,hi}: all rows with lo < ts <= hi, in timestamp
 // order. The caller is responsible for ensuring the window is closed (the
 // capture process has progressed past hi) so the result is immutable.
 func (d *DeltaTable) Window(lo, hi relalg.CSN) *relalg.Relation {
-	return d.WindowSpec(nil, lo, hi)
-}
-
-// WindowSpec materializes the slice of σ_{lo,hi} selected by spec (nil =
-// the full window).
-func (d *DeltaTable) WindowSpec(spec *PartSpec, lo, hi relalg.CSN) *relalg.Relation {
 	out := relalg.NewRelation(d.schema)
 	if hi <= lo {
 		return out
 	}
 	d.latch.RLock()
 	defer d.latch.RUnlock()
-	start := deltaKey(lo+1, 0)
-	end := deltaKey(hi+1, 0)
-	pure := spec.sliced() && spec.N == d.nparts
-	filter := spec.sliced() && !pure
-	add := func(k, v []byte) bool {
-		ts := relalg.CSN(binary.BigEndian.Uint64(k[0:8]))
+	d.rows.Ascend(deltaKey(lo+1, 0), deltaKey(hi+1, 0), func(k, v []byte) bool {
 		count, row := decodeDeltaVal(v)
-		if filter && !spec.admits(row[d.partCol]) {
-			return true
-		}
-		out.Add(row, count, ts)
+		out.Add(row, count, relalg.CSN(binary.BigEndian.Uint64(k[0:8])))
 		return true
-	}
-	if pure {
-		d.shards[spec.Part].Ascend(start, end, add)
-	} else {
-		d.ascendMerged(start, end, add)
-	}
+	})
 	return out
 }
 
@@ -278,7 +141,7 @@ func (d *DeltaTable) WindowEach(lo, hi relalg.CSN, fn func(ts relalg.CSN, count 
 	d.latch.RLock()
 	defer d.latch.RUnlock()
 	var err error
-	d.ascendMerged(deltaKey(lo+1, 0), deltaKey(hi+1, 0), func(k, v []byte) bool {
+	d.rows.Ascend(deltaKey(lo+1, 0), deltaKey(hi+1, 0), func(k, v []byte) bool {
 		ts := relalg.CSN(binary.BigEndian.Uint64(k[0:8]))
 		count, n := binary.Varint(v)
 		if n <= 0 {
@@ -290,44 +153,12 @@ func (d *DeltaTable) WindowEach(lo, hi relalg.CSN, fn func(ts relalg.CSN, count 
 	return err
 }
 
-// SliceEmpty reports whether the slice of σ_{lo,hi} selected by spec has
-// no rows (a cheap pre-check before spawning a per-partition propagation
-// job).
-func (d *DeltaTable) SliceEmpty(spec *PartSpec, lo, hi relalg.CSN) bool {
-	if hi <= lo {
-		return true
-	}
-	d.latch.RLock()
-	defer d.latch.RUnlock()
-	start := deltaKey(lo+1, 0)
-	end := deltaKey(hi+1, 0)
-	empty := true
-	pure := spec.sliced() && spec.N == d.nparts
-	filter := spec.sliced() && !pure
-	probe := func(k, v []byte) bool {
-		if filter {
-			_, row := decodeDeltaVal(v)
-			if !spec.admits(row[d.partCol]) {
-				return true
-			}
-		}
-		empty = false
-		return false
-	}
-	if pure {
-		d.shards[spec.Part].Ascend(start, end, probe)
-	} else {
-		d.ascendMerged(start, end, probe)
-	}
-	return empty
-}
-
 // All materializes the entire delta table in timestamp order.
 func (d *DeltaTable) All() *relalg.Relation {
 	out := relalg.NewRelation(d.schema)
 	d.latch.RLock()
 	defer d.latch.RUnlock()
-	d.ascendMerged(nil, nil, func(k, v []byte) bool {
+	d.rows.Ascend(nil, nil, func(k, v []byte) bool {
 		ts := relalg.CSN(binary.BigEndian.Uint64(k[0:8]))
 		count, row := decodeDeltaVal(v)
 		out.Add(row, count, ts)
@@ -345,20 +176,15 @@ func (d *DeltaTable) PruneThrough(hi relalg.CSN) int {
 	if hi > d.pruned {
 		d.pruned = hi
 	}
-	n := 0
-	end := deltaKey(hi+1, 0)
-	for _, sh := range d.shards {
-		var doomed [][]byte
-		sh.Ascend(nil, end, func(k, _ []byte) bool {
-			doomed = append(doomed, k)
-			return true
-		})
-		for _, k := range doomed {
-			sh.Delete(k)
-		}
-		n += len(doomed)
+	var doomed [][]byte
+	d.rows.Ascend(nil, deltaKey(hi+1, 0), func(k, _ []byte) bool {
+		doomed = append(doomed, k)
+		return true
+	})
+	for _, k := range doomed {
+		d.rows.Delete(k)
 	}
-	return n
+	return len(doomed)
 }
 
 // PrunedThrough returns the highest timestamp bound ever passed to
@@ -378,16 +204,10 @@ func (d *DeltaTable) PendingAfter(after relalg.CSN, limit int) int {
 	d.latch.RLock()
 	defer d.latch.RUnlock()
 	n := 0
-	start := deltaKey(after+1, 0)
-	for _, sh := range d.shards {
-		sh.Ascend(start, nil, func(_, _ []byte) bool {
-			n++
-			return limit <= 0 || n < limit
-		})
-		if limit > 0 && n >= limit {
-			break
-		}
-	}
+	d.rows.Ascend(deltaKey(after+1, 0), nil, func(_, _ []byte) bool {
+		n++
+		return limit <= 0 || n < limit
+	})
 	return n
 }
 
@@ -395,16 +215,9 @@ func (d *DeltaTable) PendingAfter(after relalg.CSN, limit int) int {
 func (d *DeltaTable) MaxTS() relalg.CSN {
 	d.latch.RLock()
 	defer d.latch.RUnlock()
-	max := relalg.NullTS
-	for _, sh := range d.shards {
-		it := sh.Last()
-		if !it.Valid() {
-			continue
-		}
-		ts := relalg.CSN(binary.BigEndian.Uint64(it.Key()[0:8]))
-		if max == relalg.NullTS || ts > max {
-			max = ts
-		}
+	it := d.rows.Last()
+	if !it.Valid() {
+		return relalg.NullTS
 	}
-	return max
+	return relalg.CSN(binary.BigEndian.Uint64(it.Key()[0:8]))
 }

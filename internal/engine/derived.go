@@ -198,21 +198,18 @@ func (dv *Derived) foldWindowLocked(img map[string]int64, lo, hi relalg.CSN) err
 	d := dv.delta
 	d.latch.RLock()
 	defer d.latch.RUnlock()
-	start := deltaKey(lo+1, 0)
 	end := deltaKey(hi+1, 0)
-	for _, sh := range d.shards {
-		for it := sh.Seek(start); it.Valid() && string(it.Key()) < string(end); it.Next() {
-			v := it.Value()
-			count, n := binary.Varint(v)
-			if n <= 0 {
-				return fmt.Errorf("engine: corrupt delta value in derived %q", dv.name)
-			}
-			k := string(v[n:])
-			if c := img[k] + count; c == 0 {
-				delete(img, k)
-			} else {
-				img[k] = c
-			}
+	for it := d.rows.Seek(deltaKey(lo+1, 0)); it.Valid() && string(it.Key()) < string(end); it.Next() {
+		v := it.Value()
+		count, n := binary.Varint(v)
+		if n <= 0 {
+			return fmt.Errorf("engine: corrupt delta value in derived %q", dv.name)
+		}
+		k := string(v[n:])
+		if c := img[k] + count; c == 0 {
+			delete(img, k)
+		} else {
+			img[k] = c
 		}
 	}
 	return nil
@@ -287,7 +284,6 @@ type derivedScan struct {
 	dv   *Derived
 	pred relalg.Predicate
 	asOf relalg.CSN
-	spec *PartSpec
 
 	keys       []string
 	net        map[string]int64
@@ -325,11 +321,6 @@ func (s *derivedScan) Next(out *relalg.Batch) (bool, error) {
 			if _, err := out.AppendDecodedRow([]byte(k), s.net[k], relalg.NullTS); err != nil {
 				return false, fmt.Errorf("engine: corrupt derived row in %q: %w", s.dv.name, err)
 			}
-		}
-		if s.spec.sliced() {
-			// Derived deltas are unpartitioned, so co-partitioning never
-			// slices a derived input; honor an explicit spec anyway.
-			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, 0)) })
 		}
 		if s.pred != nil {
 			before := int64(out.Len())

@@ -57,13 +57,6 @@ type Config struct {
 	Device wal.Device
 	// SyncOnCommit forces a log sync inside every commit.
 	SyncOnCommit bool
-	// Partitions hash-partitions every base table's version store and
-	// delta table by join-key (column 0) hash into N partitions, enabling
-	// per-partition propagation slices.
-	// 0 defers to the ROLLINGJOIN_PARTITIONS environment variable (the
-	// test hook for running the whole suite partitioned), then defaults
-	// to 1 — the unpartitioned seed behavior, byte for byte.
-	Partitions int
 	// BatchSize is the row capacity the streaming scans and join operators
 	// aim for per batch. 0 defers to the ROLLINGJOIN_BATCH environment
 	// variable, then to exec.DefaultBatchSize.
@@ -86,12 +79,6 @@ type DB struct {
 	deltas  map[string]*DeltaTable // keyed by base-table name
 	derived map[string]*Derived    // maintained views readable as relations
 
-	// nparts is the instance-wide hash-partition count (>= 1); every base
-	// table and base delta is partitioned the same N ways on column 0, so
-	// equal join keys land in the same partition everywhere (the
-	// co-partitioning requirement, DESIGN.md §9).
-	nparts int
-
 	// batchSize is the per-instance batch row capacity (Config.BatchSize
 	// resolved against ROLLINGJOIN_BATCH and the exec default).
 	batchSize int
@@ -108,8 +95,9 @@ type DB struct {
 	activeSnaps map[relalg.CSN]int
 	gcHorizon   relalg.CSN
 
-	// Activity counters are atomics: propagation queries may run on a
-	// worker pool, and the streaming scans report from operator Close.
+	// Activity counters are atomics: propagation steps of different views
+	// run concurrently on the maintenance pool, and the streaming scans
+	// report from operator Close.
 	rowsScanned  atomic.Int64
 	rowsJoined   atomic.Int64
 	queriesRun   atomic.Int64
@@ -139,13 +127,6 @@ type DB struct {
 	filterRowsKept  atomic.Int64
 	arenaBytes      atomic.Int64
 
-	// Per-partition counters (partition.go): rows scanned by sliced scans,
-	// delta rows routed to each partition, and per-partition propagation
-	// slice jobs.
-	partScanned   []atomic.Int64
-	partDeltaRows []atomic.Int64
-	partSliceJobs []atomic.Int64
-
 	// schedStats, when set, reports the maintenance scheduler's counters
 	// (the scheduler lives above the engine; the hook pulls its snapshot
 	// into Stats so one call covers the whole instance).
@@ -173,17 +154,6 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	nparts := cfg.Partitions
-	if nparts == 0 {
-		if env := os.Getenv("ROLLINGJOIN_PARTITIONS"); env != "" {
-			if v, perr := strconv.Atoi(env); perr == nil && v >= 1 {
-				nparts = v
-			}
-		}
-	}
-	if nparts < 1 {
-		nparts = 1
-	}
 	bsz := cfg.BatchSize
 	if bsz == 0 {
 		if env := os.Getenv("ROLLINGJOIN_BATCH"); env != "" {
@@ -196,45 +166,21 @@ func Open(cfg Config) (*DB, error) {
 		bsz = exec.DefaultBatchSize
 	}
 	db := &DB{
-		tm:            txn.NewManager(),
-		log:           log,
-		tables:        make(map[string]*Table),
-		deltas:        make(map[string]*DeltaTable),
-		nparts:        nparts,
-		batchSize:     bsz,
-		cfg:           cfg,
-		partScanned:   make([]atomic.Int64, nparts),
-		partDeltaRows: make([]atomic.Int64, nparts),
-		partSliceJobs: make([]atomic.Int64, nparts),
-		replica:       cfg.Replica,
+		tm:        txn.NewManager(),
+		log:       log,
+		tables:    make(map[string]*Table),
+		deltas:    make(map[string]*DeltaTable),
+		batchSize: bsz,
+		cfg:       cfg,
+		replica:   cfg.Replica,
 	}
 	db.horizons = &HorizonLedger{db: db, pins: make(map[string]relalg.CSN)}
 	return db, nil
 }
 
-// Partitions returns the instance-wide hash-partition count (1 =
-// unpartitioned).
-func (db *DB) Partitions() int { return db.nparts }
-
 // BatchSize returns the per-instance batch row capacity the streaming
 // pipelines use.
 func (db *DB) BatchSize() int { return db.batchSize }
-
-// addPartScanned attributes rows scanned by a partition-sliced scan to its
-// partition counter (only when the slice's N matches the instance's).
-func (db *DB) addPartScanned(part, n int, rows int64) {
-	if n == db.nparts && part >= 0 && part < len(db.partScanned) {
-		db.partScanned[part].Add(rows)
-	}
-}
-
-// NotePartSliceJob counts one per-partition propagation slice job executed
-// against partition part.
-func (db *DB) NotePartSliceJob(part int) {
-	if part >= 0 && part < len(db.partSliceJobs) {
-		db.partSliceJobs[part].Add(1)
-	}
-}
 
 // Close closes the log; in-flight blocking readers are woken.
 func (db *DB) Close() error { return db.log.Close() }
@@ -259,7 +205,7 @@ func (db *DB) CreateTable(name string, schema *tuple.Schema) (*Table, error) {
 	if _, ok := db.tables[name]; ok {
 		return nil, fmt.Errorf("%w: table %q", ErrExists, name)
 	}
-	t := newTable(name, schema, db.nparts, 0)
+	t := newTable(name, schema)
 	db.tables[name] = t
 	return t, nil
 }
@@ -276,10 +222,7 @@ func (db *DB) CreateDelta(base string) (*DeltaTable, error) {
 	if _, ok := db.deltas[base]; ok {
 		return nil, fmt.Errorf("%w: delta for %q", ErrExists, base)
 	}
-	d := newDeltaTable(base, bt.schema, bt.nparts, bt.partCol)
-	if bt.nparts > 1 {
-		d.onAppend = func(part int) { db.partDeltaRows[part].Add(1) }
-	}
+	d := newDeltaTable(base, bt.schema)
 	db.deltas[base] = d
 	return d, nil
 }
@@ -292,7 +235,7 @@ func (db *DB) CreateStandaloneDelta(name string, schema *tuple.Schema) (*DeltaTa
 	if _, ok := db.deltas[name]; ok {
 		return nil, fmt.Errorf("%w: delta %q", ErrExists, name)
 	}
-	d := newDeltaTable(name, schema, 1, 0)
+	d := newDeltaTable(name, schema)
 	db.deltas[name] = d
 	return d, nil
 }
@@ -359,17 +302,6 @@ type Stats struct {
 	PublishStalls     int64
 	VersionsRetained  int64
 	VersionsCollected int64
-
-	// Partitioning counters. Partitions is the instance-wide partition
-	// count; the per-partition slices have that length (all zeros at
-	// Partitions == 1). PartRowsScanned counts rows read by
-	// partition-sliced scans, PartDeltaRows the change records routed to
-	// each partition, PartSliceJobs the per-partition propagation slice
-	// jobs executed.
-	Partitions      int
-	PartRowsScanned []int64
-	PartDeltaRows   []int64
-	PartSliceJobs   []int64
 
 	// HeavyKeys is always 0. It counted the join keys a heavy/light
 	// frequency classifier had routed into the join-state cache; both were
@@ -470,18 +402,7 @@ func (db *DB) Stats() Stats {
 	if fn := db.replStats.Load(); fn != nil {
 		rs = (*fn)()
 	}
-	snap := func(cs []atomic.Int64) []int64 {
-		out := make([]int64, len(cs))
-		for i := range cs {
-			out[i] = cs[i].Load()
-		}
-		return out
-	}
 	return Stats{
-		Partitions:         db.nparts,
-		PartRowsScanned:    snap(db.partScanned),
-		PartDeltaRows:      snap(db.partDeltaRows),
-		PartSliceJobs:      snap(db.partSliceJobs),
 		Sched:              ss,
 		Repl:               rs,
 		RowsScanned:        db.rowsScanned.Load(),

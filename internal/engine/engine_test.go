@@ -249,7 +249,7 @@ func TestScanBlocksOnWriter(t *testing.T) {
 }
 
 func TestDeltaTableWindowAndPrune(t *testing.T) {
-	d := newDeltaTable("r", ordersSchema(), 1, 0)
+	d := newDeltaTable("r", ordersSchema())
 	for i := 1; i <= 10; i++ {
 		d.Append(relalg.CSN(i), 1, tuple.Tuple{tuple.Int(int64(i)), tuple.String_("x")})
 	}
@@ -272,7 +272,7 @@ func TestDeltaTableWindowAndPrune(t *testing.T) {
 	if d.Len() != 5 || d.Window(0, 10).Len() != 5 {
 		t.Fatal("after prune")
 	}
-	empty := newDeltaTable("e", ordersSchema(), 1, 0)
+	empty := newDeltaTable("e", ordersSchema())
 	if empty.MaxTS() != relalg.NullTS {
 		t.Fatal("empty maxts")
 	}

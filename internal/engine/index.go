@@ -99,12 +99,9 @@ func (db *DB) CreateIndex(table, column string) (*Index, error) {
 		}
 	}
 	ix := newIndex(table, col)
-	for _, sh := range t.shards {
-		it := sh.First()
-		for ; it.Valid(); it.Next() {
-			_, _, row := decodeVersionedRow(it.Value())
-			ix.insert(row[col], rowidFromKey(it.Key()))
-		}
+	for it := t.heap.First(); it.Valid(); it.Next() {
+		_, _, row := decodeVersionedRow(it.Value())
+		ix.insert(row[col], rowidFromKey(it.Key()))
 	}
 	t.indexes = append(t.indexes, ix)
 	return ix, nil
@@ -141,7 +138,7 @@ func (t *Table) probeAsOf(ix *Index, v tuple.Value, pred relalg.Predicate, asOf 
 	defer t.latch.RUnlock()
 	out := make([]tuple.Tuple, 0, len(ids))
 	for _, id := range ids {
-		val, ok := t.heapOf(id).Get(rowKey(id))
+		val, ok := t.heap.Get(rowKey(id))
 		if !ok {
 			continue
 		}

@@ -41,24 +41,15 @@ type Input struct {
 	Rel *relalg.Relation
 	// Pred is an optional pushdown predicate over this input's schema.
 	Pred relalg.Predicate
-	// Part restricts the input to one hash-partition slice (nil = the
-	// full input). Propagation sets it on the introduced delta position;
-	// coPartition extends it to equality-connected inputs so each slice
-	// job touches 1/N of the co-partitioned storage.
-	Part *PartSpec
 }
 
 // String renders the input in the paper's notation.
 func (in Input) String() string {
-	slice := ""
-	if in.Part.sliced() {
-		slice = fmt.Sprintf("[%d/%d]", in.Part.Part, in.Part.N)
-	}
 	switch in.Kind {
 	case InputBase:
-		return in.Table + slice
+		return in.Table
 	case InputDelta:
-		return fmt.Sprintf("Δ%s(%d,%d]%s", in.Table, in.Lo, in.Hi, slice)
+		return fmt.Sprintf("Δ%s(%d,%d]", in.Table, in.Lo, in.Hi)
 	default:
 		return "<rel>"
 	}
@@ -249,7 +240,7 @@ func (tx *Tx) buildPlan(q *Query, a *exec.Arena) (exec.Operator, *tuple.Schema, 
 			if err != nil {
 				return nil, err
 			}
-			return &deltaScan{db: db, d: d, lo: in.Lo, hi: in.Hi, pred: in.Pred, spec: in.Part}, nil
+			return &deltaScan{db: db, d: d, lo: in.Lo, hi: in.Hi, pred: in.Pred}, nil
 		case InputRelation:
 			scan := exec.NewRelationScan(in.Rel, in.Pred)
 			scan.Size = db.batchSize
@@ -258,11 +249,11 @@ func (tx *Tx) buildPlan(q *Query, a *exec.Arena) (exec.Operator, *tuple.Schema, 
 			t, err := db.Table(in.Table)
 			if err != nil {
 				if dv := db.derivedByName(in.Table); dv != nil {
-					return &derivedScan{db: db, dv: dv, pred: in.Pred, asOf: q.AsOf, spec: in.Part}, nil
+					return &derivedScan{db: db, dv: dv, pred: in.Pred, asOf: q.AsOf}, nil
 				}
 				return nil, err
 			}
-			return &tableScan{db: db, t: t, pred: in.Pred, asOf: q.AsOf, spec: in.Part}, nil
+			return &tableScan{db: db, t: t, pred: in.Pred, asOf: q.AsOf}, nil
 		}
 	}
 
@@ -407,7 +398,6 @@ func (tx *Tx) snapshotFor(q *Query) (*Snapshot, error) {
 // and the root materializes the result as a relation. Counts multiply and
 // timestamps combine by minimum per the paper's rule.
 func (tx *Tx) EvalQuery(q *Query) (*relalg.Relation, error) {
-	tx.db.coPartition(q)
 	snap, err := tx.snapshotFor(q)
 	if err != nil {
 		return nil, err
@@ -440,7 +430,6 @@ func (tx *Tx) EvalQuery(q *Query) (*relalg.Relation, error) {
 // materializing the result. The batch is reused between calls; the sink
 // must copy any rows it keeps. It returns the result row and batch counts.
 func (tx *Tx) StreamQuery(q *Query, sink func(*relalg.Batch) error) (rows, batches int64, err error) {
-	tx.db.coPartition(q)
 	snap, err := tx.snapshotFor(q)
 	if err != nil {
 		return 0, 0, err
@@ -469,7 +458,6 @@ func (tx *Tx) StreamQuery(q *Query, sink func(*relalg.Batch) error) (rows, batch
 // against it. Production callers go through EvalQuery.
 func (tx *Tx) materializeExec(q *Query) (*relalg.Relation, error) {
 	db := tx.db
-	db.coPartition(q)
 	db.addQuery()
 	arities, offsets, err := db.arities(q)
 	if err != nil {
@@ -498,7 +486,7 @@ func (tx *Tx) materializeExec(q *Query) (*relalg.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			rel := d.WindowSpec(in.Part, in.Lo, in.Hi)
+			rel := d.Window(in.Lo, in.Hi)
 			if in.Pred != nil {
 				rel = relalg.Select(rel, in.Pred)
 			}
@@ -530,7 +518,7 @@ func (tx *Tx) materializeExec(q *Query) (*relalg.Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			rel := t.scanAsOfPart(q.Inputs[i].Pred, q.AsOf, q.Inputs[i].Part)
+			rel := t.scanAsOf(q.Inputs[i].Pred, q.AsOf)
 			db.addScanned(int64(rel.Len()))
 			rels[i] = rel
 			return rel, nil
@@ -730,12 +718,6 @@ func indexJoin(db *DB, left *relalg.Relation, t *Table, ix *Index, leftCol int, 
 // query t_e is q.AsOf — executed time equals intended time by
 // construction. This is the Execute primitive of Figures 4 and 10.
 func (db *DB) ExecutePropagation(q *Query, sign int64, dest *DeltaTable) (relalg.CSN, int, int, error) {
-	for _, in := range q.Inputs {
-		if in.Part.sliced() {
-			db.NotePartSliceJob(in.Part.Part)
-			break
-		}
-	}
 	tx := db.Begin()
 	// Columnar egress: serialize each result row straight from the batch's
 	// columns into the delta table's row encoding; no tuples materialize
@@ -750,11 +732,7 @@ func (db *DB) ExecutePropagation(q *Query, sign int64, dest *DeltaTable) (relalg
 				return fmt.Errorf("engine: propagation query %s produced a null-timestamp row", q)
 			}
 			encBuf = b.EncodeRowAt(encBuf[:0], i)
-			var pv tuple.Value
-			if b.Arity() > dest.partCol {
-				pv = b.ValueAt(i, dest.partCol)
-			}
-			tx.AppendDeltaEncoded(dest, ts, sign*b.CountAt(i), encBuf, pv)
+			tx.AppendDeltaEncoded(dest, ts, sign*b.CountAt(i), encBuf)
 		}
 		return nil
 	})

@@ -79,12 +79,8 @@ func (db *DB) recover(offset int64) (relalg.CSN, error) {
 func (t *Table) removeMatching(row tuple.Tuple) bool {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	// A row replayed by recovery routes to the same shard a live insert
-	// would, so only that shard can hold a match.
-	sh := t.shards[t.shardForRow(row)]
 	var foundKey []byte
-	it := sh.First()
-	for ; it.Valid(); it.Next() {
+	for it := t.heap.First(); it.Valid(); it.Next() {
 		_, dead, got := decodeVersionedRow(it.Value())
 		if dead != csnNone {
 			continue
@@ -97,7 +93,7 @@ func (t *Table) removeMatching(row tuple.Tuple) bool {
 	if foundKey == nil {
 		return false
 	}
-	sh.Delete(foundKey)
+	t.heap.Delete(foundKey)
 	for _, ix := range t.indexes {
 		ix.remove(row[ix.column], rowidFromKey(foundKey))
 	}

@@ -67,22 +67,14 @@ func (db *DB) ApplyReplicated(csn relalg.CSN, writes []Write) error {
 func (t *Table) stampDeadReplicated(row tuple.Tuple, csn relalg.CSN) bool {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	shards := t.shards
-	if t.nparts > 1 {
-		// Equal rows hash to the same shard; search only it.
-		sh := t.shardForRow(row)
-		shards = t.shards[sh : sh+1]
-	}
-	for _, sh := range shards {
-		for it := sh.First(); it.Valid(); it.Next() {
-			born, dead, got := decodeVersionedRow(it.Value())
-			if dead != csnNone || !got.Equal(row) {
-				continue
-			}
-			t.setVersion(rowidFromKey(it.Key()), born, csn)
-			t.dead++
-			return true
+	for it := t.heap.First(); it.Valid(); it.Next() {
+		born, dead, got := decodeVersionedRow(it.Value())
+		if dead != csnNone || !got.Equal(row) {
+			continue
 		}
+		t.setVersion(rowidFromKey(it.Key()), born, csn)
+		t.dead++
+		return true
 	}
 	return false
 }

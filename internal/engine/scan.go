@@ -15,17 +15,10 @@ import (
 // writer of the scanned table can reach the latch while the scan streams,
 // and concurrent propagation queries share the read latch.
 //
-// Both scans accept an optional PartSpec: a sliced scan reads only the
-// matching hash shard, which is how a per-partition propagation job
-// touches 1/N of the storage. An unsliced scan over a partitioned
-// structure walks the shards one after another; relational consumers are
-// multiset operators, so the shard-major order is immaterial (and with one
-// shard it is exactly the seed order).
-//
 // Both scans are the columnar ingress: stored rows decode straight from
 // their on-disk encodings into the output batch's column vectors (string
-// payloads interning into the column dictionaries), then slice admission
-// and pushdown predicates narrow the batch with its selection vector.
+// payloads interning into the column dictionaries), then pushdown
+// predicates narrow the batch with its selection vector.
 // Tuples are never materialized on this path.
 
 // tableScan streams a base table's heap in batches, applying an optional
@@ -38,11 +31,7 @@ type tableScan struct {
 	t    *Table
 	pred relalg.Predicate
 	asOf relalg.CSN
-	spec *PartSpec
 
-	shards     []*btree.Tree
-	pure       bool // shards are hash-pure for spec (single matching shard)
-	cur        int
 	it         *btree.Iterator
 	latched    bool
 	scanned    int64
@@ -53,9 +42,7 @@ type tableScan struct {
 func (s *tableScan) Open() error {
 	s.t.latch.RLock()
 	s.latched = true
-	s.shards, s.pure = s.t.sliceShards(s.spec)
-	s.cur = 0
-	s.it = s.shards[0].First()
+	s.it = s.t.heap.First()
 	return nil
 }
 
@@ -79,13 +66,8 @@ func (s *tableScan) Next(out *relalg.Batch) (bool, error) {
 		exhausted := false
 		for out.Len() < max {
 			if !s.it.Valid() {
-				s.cur++
-				if s.cur >= len(s.shards) {
-					exhausted = true
-					break
-				}
-				s.it = s.shards[s.cur].First()
-				continue
+				exhausted = true
+				break
 			}
 			born, dead, enc := decodeVersionHeader(s.it.Value())
 			s.it.Next()
@@ -99,10 +81,6 @@ func (s *tableScan) Next(out *relalg.Batch) (bool, error) {
 			if _, err := out.AppendDecodedRow(enc, 1, relalg.NullTS); err != nil {
 				return false, fmt.Errorf("engine: corrupt heap row: %w", err)
 			}
-		}
-		if s.spec.sliced() && !s.pure {
-			pc := s.t.partCol
-			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, pc)) })
 		}
 		if s.pred != nil {
 			before := int64(out.Len())
@@ -127,30 +105,20 @@ func (s *tableScan) Close() error {
 		s.t.latch.RUnlock()
 		s.db.addScanned(s.scanned)
 		s.db.addFilterStats(s.fin, s.fkept)
-		if s.spec.sliced() {
-			s.db.addPartScanned(s.spec.Part, s.spec.N, s.scanned)
-		}
 	}
 	return nil
 }
 
 // deltaScan streams the delta-table window (lo, hi] in timestamp order,
 // with the window bounds and the optional pushdown predicate applied
-// directly at the scan — no intermediate relation is materialized. A
-// sliced scan is the per-partition delta cursor: it seeks into just the
-// slice's shard.
+// directly at the scan — no intermediate relation is materialized.
 type deltaScan struct {
 	db     *DB
 	d      *DeltaTable
 	lo, hi relalg.CSN
 	pred   relalg.Predicate
-	spec   *PartSpec
 
-	shards     []*btree.Tree
-	pure       bool
-	cur        int
 	it         *btree.Iterator
-	start      []byte
 	end        []byte
 	latched    bool
 	scanned    int64
@@ -164,16 +132,8 @@ func (s *deltaScan) Open() error {
 	}
 	s.d.latch.RLock()
 	s.latched = true
-	if s.spec.sliced() && s.spec.N == s.d.nparts {
-		s.shards = s.d.shards[s.spec.Part : s.spec.Part+1]
-		s.pure = true
-	} else {
-		s.shards = s.d.shards
-	}
-	s.start = deltaKey(s.lo+1, 0)
 	s.end = deltaKey(s.hi+1, 0)
-	s.cur = 0
-	s.it = s.shards[0].Seek(s.start)
+	s.it = s.d.rows.Seek(deltaKey(s.lo+1, 0))
 	return nil
 }
 
@@ -189,13 +149,8 @@ func (s *deltaScan) Next(out *relalg.Batch) (bool, error) {
 		exhausted := false
 		for out.Len() < max {
 			if !s.it.Valid() || string(s.it.Key()) >= string(s.end) {
-				s.cur++
-				if s.cur >= len(s.shards) {
-					exhausted = true
-					break
-				}
-				s.it = s.shards[s.cur].Seek(s.start)
-				continue
+				exhausted = true
+				break
 			}
 			ts := relalg.CSN(binary.BigEndian.Uint64(s.it.Key()[0:8]))
 			v := s.it.Value()
@@ -207,10 +162,6 @@ func (s *deltaScan) Next(out *relalg.Batch) (bool, error) {
 			if _, err := out.AppendDecodedRow(v[n:], count, ts); err != nil {
 				return false, fmt.Errorf("engine: corrupt delta row: %w", err)
 			}
-		}
-		if s.spec.sliced() && !s.pure {
-			pc := s.d.partCol
-			out.Retain(func(i int) bool { return s.spec.admits(out.ValueAt(i, pc)) })
 		}
 		if s.pred != nil {
 			before := int64(out.Len())
@@ -235,9 +186,6 @@ func (s *deltaScan) Close() error {
 		s.d.latch.RUnlock()
 		s.db.addScanned(s.scanned)
 		s.db.addFilterStats(s.fin, s.fkept)
-		if s.spec.sliced() {
-			s.db.addPartScanned(s.spec.Part, s.spec.N, s.scanned)
-		}
 	}
 	return nil
 }

@@ -35,24 +35,13 @@ func visibleAt(born, dead, asOf relalg.CSN) bool {
 // latch protects physical structure only; transactional isolation comes
 // from the lock manager for writers and from the version metadata plus
 // the commit-publish barrier for snapshot readers.
-//
-// When the engine is opened with Partitions = N > 1 the heap is split
-// into hash shards: a row lives in shard hashPart(row[partCol], N), and
-// its rowid encodes the shard in the low shardBits bits (rowid =
-// seq<<shardBits | shard), so point accesses route directly. With N = 1
-// there is a single shard and zero shard bits — rowids and layout are
-// identical to the unpartitioned engine.
 type Table struct {
 	name   string
 	schema *tuple.Schema
 
-	nparts    int  // hash partitions (>= 1)
-	partCol   int  // column whose hash routes rows
-	shardBits uint // low rowid bits holding the shard index
-
 	latch   sync.RWMutex
-	shards  []*btree.Tree // len 1<<shardBits; rowid (8B big-endian) -> [born 8B][dead 8B][row encoding]
-	nextRow uint64        // global insertion sequence (not a rowid when sharded)
+	heap    *btree.Tree // rowid (8B big-endian) -> [born 8B][dead 8B][row encoding]
+	nextRow uint64      // last assigned rowid (the insertion sequence)
 	indexes []*Index
 	dead    int64 // committed-dead versions retained (pending GC)
 }
@@ -60,46 +49,9 @@ type Table struct {
 // rowidFromKey decodes a heap key back to its rowid.
 func rowidFromKey(k []byte) uint64 { return binary.BigEndian.Uint64(k) }
 
-func newTable(name string, schema *tuple.Schema, nparts, partCol int) *Table {
-	if nparts < 1 {
-		nparts = 1
-	}
-	bits := shardBitsFor(nparts)
-	shards := make([]*btree.Tree, 1<<bits)
-	for i := range shards {
-		shards[i] = btree.New()
-	}
-	return &Table{
-		name:      name,
-		schema:    schema,
-		nparts:    nparts,
-		partCol:   partCol,
-		shardBits: bits,
-		shards:    shards,
-	}
+func newTable(name string, schema *tuple.Schema) *Table {
+	return &Table{name: name, schema: schema, heap: btree.New()}
 }
-
-// Partitions returns the table's hash-partition count (1 = unpartitioned).
-func (t *Table) Partitions() int { return t.nparts }
-
-// PartitionColumn returns the column whose hash routes rows to partitions.
-func (t *Table) PartitionColumn() int { return t.partCol }
-
-// shardIdx returns the physical shard holding rowid.
-func (t *Table) shardIdx(rowid uint64) int {
-	return int(rowid & (uint64(1)<<t.shardBits - 1))
-}
-
-// shardForRow returns the shard a new row routes to.
-func (t *Table) shardForRow(row tuple.Tuple) int {
-	if t.nparts <= 1 {
-		return 0
-	}
-	return hashPart(row[t.partCol], t.nparts)
-}
-
-// heapOf returns the shard tree for rowid.
-func (t *Table) heapOf(rowid uint64) *btree.Tree { return t.shards[t.shardIdx(rowid)] }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
@@ -112,21 +64,7 @@ func (t *Table) Schema() *tuple.Schema { return t.schema }
 func (t *Table) Len() int {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	n := 0
-	for _, sh := range t.shards {
-		n += sh.Len()
-	}
-	return n
-}
-
-// PartLen returns the number of heap entries in hash partition p.
-func (t *Table) PartLen(p int) int {
-	t.latch.RLock()
-	defer t.latch.RUnlock()
-	if p < 0 || p >= len(t.shards) {
-		return 0
-	}
-	return t.shards[p].Len()
+	return t.heap.Len()
 }
 
 // DeadVersions returns the number of committed-dead versions retained in
@@ -192,9 +130,8 @@ func (t *Table) putBorn(row tuple.Tuple, born relalg.CSN) uint64 {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	t.nextRow++
-	shard := t.shardForRow(row)
-	id := t.nextRow<<t.shardBits | uint64(shard)
-	t.shards[shard].Put(rowKey(id), encodeVersionedRow(born, csnNone, row))
+	id := t.nextRow
+	t.heap.Put(rowKey(id), encodeVersionedRow(born, csnNone, row))
 	for _, ix := range t.indexes {
 		ix.insert(row[ix.column], id)
 	}
@@ -206,7 +143,7 @@ func (t *Table) putBorn(row tuple.Tuple, born relalg.CSN) uint64 {
 func (t *Table) putAt(rowid uint64, row tuple.Tuple) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	t.heapOf(rowid).Put(rowKey(rowid), encodeVersionedRow(0, csnNone, row))
+	t.heap.Put(rowKey(rowid), encodeVersionedRow(0, csnNone, row))
 	for _, ix := range t.indexes {
 		ix.insert(row[ix.column], rowid)
 	}
@@ -218,13 +155,12 @@ func (t *Table) putAt(rowid uint64, row tuple.Tuple) {
 func (t *Table) remove(rowid uint64) tuple.Tuple {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	sh := t.heapOf(rowid)
-	v, ok := sh.Get(rowKey(rowid))
+	v, ok := t.heap.Get(rowKey(rowid))
 	if !ok {
 		return nil
 	}
 	_, dead, row := decodeVersionedRow(v)
-	sh.Delete(rowKey(rowid))
+	t.heap.Delete(rowKey(rowid))
 	if dead != csnNone && dead != csnDeadPending {
 		t.dead--
 	}
@@ -237,8 +173,7 @@ func (t *Table) remove(rowid uint64) tuple.Tuple {
 // setVersion rewrites the version header of rowid in place.
 func (t *Table) setVersion(rowid uint64, born, dead relalg.CSN) {
 	k := rowKey(rowid)
-	sh := t.heapOf(rowid)
-	v, ok := sh.Get(k)
+	v, ok := t.heap.Get(k)
 	if !ok {
 		return
 	}
@@ -248,7 +183,7 @@ func (t *Table) setVersion(rowid uint64, born, dead relalg.CSN) {
 	nv := make([]byte, len(v))
 	copy(nv, hdr[:])
 	copy(nv[16:], v[16:])
-	sh.Put(k, nv)
+	t.heap.Put(k, nv)
 }
 
 // stampBorn publishes an inserted row: its born CSN becomes the
@@ -256,7 +191,7 @@ func (t *Table) setVersion(rowid uint64, born, dead relalg.CSN) {
 func (t *Table) stampBorn(rowid uint64, csn relalg.CSN) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heapOf(rowid).Get(rowKey(rowid))
+	v, ok := t.heap.Get(rowKey(rowid))
 	if !ok {
 		return
 	}
@@ -268,7 +203,7 @@ func (t *Table) stampBorn(rowid uint64, csn relalg.CSN) {
 func (t *Table) markDead(rowid uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heapOf(rowid).Get(rowKey(rowid))
+	v, ok := t.heap.Get(rowKey(rowid))
 	if !ok {
 		return
 	}
@@ -280,7 +215,7 @@ func (t *Table) markDead(rowid uint64) {
 func (t *Table) clearDead(rowid uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heapOf(rowid).Get(rowKey(rowid))
+	v, ok := t.heap.Get(rowKey(rowid))
 	if !ok {
 		return
 	}
@@ -293,7 +228,7 @@ func (t *Table) clearDead(rowid uint64) {
 func (t *Table) stampDead(rowid uint64, csn relalg.CSN) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heapOf(rowid).Get(rowKey(rowid))
+	v, ok := t.heap.Get(rowKey(rowid))
 	if !ok {
 		return
 	}
@@ -309,22 +244,18 @@ func (t *Table) gcVersions(through relalg.CSN) int64 {
 	t.latch.Lock()
 	defer t.latch.Unlock()
 	type doomed struct {
-		shard int
-		key   []byte
-		row   tuple.Tuple
+		key []byte
+		row tuple.Tuple
 	}
 	var dead []doomed
-	for si, sh := range t.shards {
-		it := sh.First()
-		for ; it.Valid(); it.Next() {
-			_, d, row := decodeVersionedRow(it.Value())
-			if d != csnNone && d != csnDeadPending && d <= through {
-				dead = append(dead, doomed{si, append([]byte(nil), it.Key()...), row})
-			}
+	for it := t.heap.First(); it.Valid(); it.Next() {
+		_, d, row := decodeVersionedRow(it.Value())
+		if d != csnNone && d != csnDeadPending && d <= through {
+			dead = append(dead, doomed{append([]byte(nil), it.Key()...), row})
 		}
 	}
 	for _, d := range dead {
-		t.shards[d.shard].Delete(d.key)
+		t.heap.Delete(d.key)
 		for _, ix := range t.indexes {
 			ix.remove(d.row[ix.column], rowidFromKey(d.key))
 		}
@@ -338,7 +269,7 @@ func (t *Table) gcVersions(through relalg.CSN) int64 {
 func (t *Table) getVersion(rowid uint64) (row tuple.Tuple, born, dead relalg.CSN, ok bool) {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
-	v, found := t.heapOf(rowid).Get(rowKey(rowid))
+	v, found := t.heap.Get(rowKey(rowid))
 	if !found {
 		return nil, 0, 0, false
 	}
@@ -356,20 +287,6 @@ func (t *Table) get(rowid uint64) tuple.Tuple {
 	return row
 }
 
-// sliceShards returns the shard trees a slice reads: the single matching
-// shard when the spec's partitioning equals the table's own, all shards
-// otherwise (the spec then filters per row). The second result reports
-// whether the shards are already hash-pure for the spec.
-func (t *Table) sliceShards(spec *PartSpec) ([]*btree.Tree, bool) {
-	if !spec.sliced() {
-		return t.shards, false
-	}
-	if spec.N == t.nparts {
-		return t.shards[spec.Part : spec.Part+1], true
-	}
-	return t.shards, false
-}
-
 // scan materializes the current table state as a relation (count=+1, null
 // timestamps), applying the optional pushdown predicate. Latch-only; the
 // caller holds a table S lock, so any unstamped rows belong to the
@@ -378,18 +295,15 @@ func (t *Table) scan(pred relalg.Predicate) *relalg.Relation {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	out := relalg.NewRelation(t.schema)
-	for _, sh := range t.shards {
-		it := sh.First()
-		for ; it.Valid(); it.Next() {
-			_, dead, row := decodeVersionedRow(it.Value())
-			if dead != csnNone {
-				continue
-			}
-			if pred != nil && !pred.Eval(row) {
-				continue
-			}
-			out.Add(row, 1, relalg.NullTS)
+	for it := t.heap.First(); it.Valid(); it.Next() {
+		_, dead, row := decodeVersionedRow(it.Value())
+		if dead != csnNone {
+			continue
 		}
+		if pred != nil && !pred.Eval(row) {
+			continue
+		}
+		out.Add(row, 1, relalg.NullTS)
 	}
 	return out
 }
@@ -398,100 +312,39 @@ func (t *Table) scan(pred relalg.Predicate) *relalg.Relation {
 // lock-free: the caller must hold a ReadView at or above asOf (AsOf at or
 // below the stable CSN).
 func (t *Table) scanAsOf(pred relalg.Predicate, asOf relalg.CSN) *relalg.Relation {
-	return t.scanAsOfPart(pred, asOf, nil)
-}
-
-// scanAsOfPart is scanAsOf restricted to one partition slice (nil spec =
-// full table).
-func (t *Table) scanAsOfPart(pred relalg.Predicate, asOf relalg.CSN, spec *PartSpec) *relalg.Relation {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	out := relalg.NewRelation(t.schema)
-	shards, pure := t.sliceShards(spec)
-	filter := spec.sliced() && !pure
-	for _, sh := range shards {
-		it := sh.First()
-		for ; it.Valid(); it.Next() {
-			born, dead, row := decodeVersionedRow(it.Value())
-			if !visibleAt(born, dead, asOf) {
-				continue
-			}
-			if filter && !spec.admits(row[t.partCol]) {
-				continue
-			}
-			if pred != nil && !pred.Eval(row) {
-				continue
-			}
-			out.Add(row, 1, relalg.NullTS)
+	for it := t.heap.First(); it.Valid(); it.Next() {
+		born, dead, row := decodeVersionedRow(it.Value())
+		if !visibleAt(born, dead, asOf) {
+			continue
 		}
+		if pred != nil && !pred.Eval(row) {
+			continue
+		}
+		out.Add(row, 1, relalg.NullTS)
 	}
 	return out
 }
 
 // matchRowIDs returns the rowids whose current-state rows satisfy pred,
-// up to limit (limit <= 0 means no limit), in global insertion order so
-// victim selection is independent of the partition count. Latch-only
+// up to limit (limit <= 0 means no limit), in insertion order. Latch-only
 // snapshot; callers must re-check under row locks.
 func (t *Table) matchRowIDs(pred relalg.Predicate, limit int) []uint64 {
 	t.latch.RLock()
 	defer t.latch.RUnlock()
 	var ids []uint64
-	if len(t.shards) == 1 {
-		it := t.shards[0].First()
-		for ; it.Valid(); it.Next() {
-			_, dead, row := decodeVersionedRow(it.Value())
-			if dead != csnNone {
-				continue
-			}
-			if pred == nil || pred.Eval(row) {
-				ids = append(ids, binary.BigEndian.Uint64(it.Key()))
-				if limit > 0 && len(ids) >= limit {
-					break
-				}
-			}
+	for it := t.heap.First(); it.Valid(); it.Next() {
+		_, dead, row := decodeVersionedRow(it.Value())
+		if dead != csnNone {
+			continue
 		}
-		return ids
-	}
-	// Per shard, keys ascend in insertion (sequence) order; collect the
-	// first limit matches of each shard and merge by sequence.
-	var perShard [][]uint64
-	for _, sh := range t.shards {
-		var got []uint64
-		it := sh.First()
-		for ; it.Valid(); it.Next() {
-			_, dead, row := decodeVersionedRow(it.Value())
-			if dead != csnNone {
-				continue
+		if pred == nil || pred.Eval(row) {
+			ids = append(ids, rowidFromKey(it.Key()))
+			if limit > 0 && len(ids) >= limit {
+				break
 			}
-			if pred == nil || pred.Eval(row) {
-				got = append(got, binary.BigEndian.Uint64(it.Key()))
-				if limit > 0 && len(got) >= limit {
-					break
-				}
-			}
-		}
-		perShard = append(perShard, got)
-	}
-	heads := make([]int, len(perShard))
-	for {
-		best := -1
-		var bestSeq uint64
-		for si, got := range perShard {
-			if heads[si] >= len(got) {
-				continue
-			}
-			seq := got[heads[si]] >> t.shardBits
-			if best < 0 || seq < bestSeq {
-				best, bestSeq = si, seq
-			}
-		}
-		if best < 0 {
-			break
-		}
-		ids = append(ids, perShard[best][heads[best]])
-		heads[best]++
-		if limit > 0 && len(ids) >= limit {
-			break
 		}
 	}
 	return ids

@@ -191,10 +191,9 @@ func (tx *Tx) AppendDelta(d *DeltaTable, ts relalg.CSN, count int64, row tuple.T
 }
 
 // AppendDeltaEncoded is AppendDelta for a row already in tuple.EncodeRow
-// form (the columnar propagation egress); partVal is the row's
-// partition-column value.
-func (tx *Tx) AppendDeltaEncoded(d *DeltaTable, ts relalg.CSN, count int64, encRow []byte, partVal tuple.Value) {
-	h := d.AppendEncoded(ts, count, encRow, partVal)
+// form (the columnar propagation egress).
+func (tx *Tx) AppendDeltaEncoded(d *DeltaTable, ts relalg.CSN, count int64, encRow []byte) {
+	h := d.AppendEncoded(ts, count, encRow)
 	tx.inner.OnAbort(func() { d.Remove(h) })
 }
 

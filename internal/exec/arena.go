@@ -14,7 +14,7 @@ import (
 // previous step already grew — the zero-allocation hot path.
 //
 // An arena is single-goroutine (one pipeline); the arenas themselves
-// recycle through a sync.Pool so concurrent partitions don't contend.
+// recycle through a sync.Pool so concurrent pipelines don't contend.
 // All methods are nil-receiver safe: a nil arena falls back to the
 // global batch pool, which keeps hand-built operator trees in tests
 // working without one.

@@ -120,14 +120,6 @@ type Stats struct {
 type Scheduler struct {
 	workers int
 
-	// auxSem bounds TrySpawn subtask goroutines at the pool size. Subtasks
-	// deliberately do NOT go through the job queue: a job blocked waiting
-	// for its own queued subtasks would deadlock the pool, whereas spawned
-	// goroutines always run and the semaphore only sheds excess onto the
-	// caller (which runs the work inline).
-	auxSem chan struct{}
-	auxWg  sync.WaitGroup
-
 	mu     sync.Mutex
 	qcond  *sync.Cond
 	queue  []*Job
@@ -153,7 +145,7 @@ func New(workers int) *Scheduler {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &Scheduler{workers: workers, jobs: make(map[*Job]struct{}), auxSem: make(chan struct{}, workers)}
+	s := &Scheduler{workers: workers, jobs: make(map[*Job]struct{})}
 	s.qcond = sync.NewCond(&s.mu)
 	s.snapshot.Store([]*Job(nil))
 	for i := 0; i < workers; i++ {
@@ -212,36 +204,6 @@ func (s *Scheduler) Notify(csn relalg.CSN) {
 	}
 }
 
-// TrySpawn offers fn to the scheduler's subtask pool: when a slot is free
-// (at most workers subtasks in flight) fn runs on its own goroutine and
-// TrySpawn returns true; otherwise it returns false without running fn and
-// the caller executes it inline. This is the fan-out hook for partitioned
-// propagation steps: a step running on a pool worker hands its per-slice
-// jobs here and never blocks on a saturated pool.
-func (s *Scheduler) TrySpawn(fn func()) bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	select {
-	case s.auxSem <- struct{}{}:
-		s.auxWg.Add(1)
-		s.mu.Unlock()
-		go func() {
-			defer func() {
-				<-s.auxSem
-				s.auxWg.Done()
-			}()
-			fn()
-		}()
-		return true
-	default:
-		s.mu.Unlock()
-		return false
-	}
-}
-
 // LastNotified returns the highest CSN passed to Notify.
 func (s *Scheduler) LastNotified() relalg.CSN {
 	return relalg.CSN(s.lastCSN.Load())
@@ -287,7 +249,6 @@ func (s *Scheduler) Close() {
 		j.broadcast() // release Await-ers; they observe ErrClosed
 	}
 	s.wg.Wait()
-	s.auxWg.Wait()
 }
 
 func (s *Scheduler) isClosed() bool {

@@ -8,8 +8,7 @@ import (
 )
 
 // referenceHash is the original hash/fnv-based implementation of
-// Value.Hash. The inlined rewrite must stay bit-identical so hash
-// partition assignments survive the change.
+// Value.Hash. The inlined rewrite must stay bit-identical to it.
 func referenceHash(v Value, seed uint64) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte

@@ -71,7 +71,7 @@ type TableSpec struct {
 	InsertFraction float64
 	// Skew, when positive, draws join keys from a Zipfian distribution
 	// with this exponent instead of uniformly — a few hot keys absorb most
-	// of the traffic, the regime the partitioning layer is measured on.
+	// of the traffic.
 	// Zero keeps the exact uniform draw sequence of earlier revisions.
 	Skew float64
 }
@@ -153,9 +153,8 @@ func StarSchema(dims, factRows, dimRows int, factWeight float64) *Workload {
 	return w
 }
 
-// StarSchemaSkewed is StarSchema with Zipfian fact-table keys: the skewed
-// star workload the PARTITION experiment runs, where a handful of hot keys
-// dominate the fact table's update stream.
+// StarSchemaSkewed is StarSchema with Zipfian fact-table keys: a handful
+// of hot keys dominate the fact table's update stream.
 func StarSchemaSkewed(dims, factRows, dimRows int, factWeight, skew float64) *Workload {
 	w := StarSchema(dims, factRows, dimRows, factWeight)
 	w.Tables[0].Skew = skew

@@ -337,26 +337,7 @@ func TestWaitForHWMContext(t *testing.T) {
 // TestAutoRefreshConverges checks that Maintain.AutoRefresh rolls the
 // materialized view forward with no Refresh calls at all.
 func TestAutoRefreshConverges(t *testing.T) {
-	autoRefreshConverges(t, newTestDB(t, Options{}))
-}
-
-// TestAutoRefreshConvergesPartitioned is TestAutoRefreshConverges on
-// 4-way hash-partitioned storage: each propagation step fans out into
-// per-partition slice jobs offered to the scheduler's subtask pool.
-func TestAutoRefreshConvergesPartitioned(t *testing.T) {
-	db := newTestDB(t, Options{Partitions: 4})
-	autoRefreshConverges(t, db)
-	var jobs int64
-	for _, n := range db.Engine().Stats().PartSliceJobs {
-		jobs += n
-	}
-	if jobs == 0 {
-		t.Fatal("partitioned propagation ran no slice jobs")
-	}
-}
-
-func autoRefreshConverges(t *testing.T, db *DB) {
-	t.Helper()
+	db := newTestDB(t, Options{})
 	seedItems(t, db)
 	v, err := db.DefineView(namedOrderSpec("auto"), Maintain{Interval: 4, AutoRefresh: true})
 	if err != nil {

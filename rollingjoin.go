@@ -47,11 +47,11 @@ type Options struct {
 	// MaintenanceWorkers sizes the shared worker pool that runs every
 	// view's propagation and application jobs. Default 4, minimum 1.
 	MaintenanceWorkers int
-	// Partitions hash-partitions every base table's version store and
-	// delta window by join key into this many partitions; a co-partitioned
-	// join's propagation step fans out into per-partition jobs on the
-	// maintenance pool. 0 defers to the ROLLINGJOIN_PARTITIONS environment
-	// variable, then 1 (the unpartitioned behavior).
+	// Partitions has no effect: Open accepts any value and ignores it.
+	// Hash-partitioned storage was deleted after it measured slower than
+	// one partition on the workload built for it; the field stays so
+	// existing callers that still set it (the freshness benchmark's
+	// star-fanout workload) keep compiling.
 	Partitions int
 	// BatchSize caps the rows per batch in the streaming executor — the
 	// vectorization knob for scans, joins, and propagation queries. 0
@@ -135,7 +135,6 @@ type DB struct {
 func Open(opts Options) (*DB, error) {
 	cfg := engine.Config{
 		SyncOnCommit: opts.SyncOnCommit,
-		Partitions:   opts.Partitions,
 		BatchSize:    opts.BatchSize,
 		Replica:      opts.Follower,
 	}
@@ -672,11 +671,6 @@ func (db *DB) DefineView(spec ViewSpec, opt Maintain) (*View, error) {
 	}
 	exec := core.NewExecutor(db.eng, src, def, dest)
 	exec.SkipEmptyWindows = !opt.KeepEmptyWindowQueries
-	if db.eng.Partitions() > 1 {
-		// Per-partition slice jobs of one propagation step fan out to the
-		// shared maintenance pool, falling back inline when it is busy.
-		exec.Spawn = db.sched.TrySpawn
-	}
 
 	interval := opt.Interval
 	if interval <= 0 {
