@@ -60,9 +60,8 @@ type AggregateView struct {
 	def     *core.AggregateDef
 	source  string
 	agg     *core.AggView
-	mv      *core.MaterializedView
 	dest    *engine.DeltaTable
-	derived *engine.Derived
+	derived *engine.Derived // the one stored state, as for View
 	applier *core.Applier
 }
 
@@ -193,29 +192,24 @@ func (db *DB) DefineAggregate(spec AggSpec, opt Maintain) (*AggregateView, error
 		cleanup()
 		return nil, err
 	}
-	mv, err := core.MaterializeRelation(spec.Name, out, initRel, asOf)
+	dv, err := db.eng.RegisterDerived(dest, agg.HWM)
 	if err != nil {
 		cleanup()
 		return nil, err
 	}
-
-	av := &AggregateView{def: def, source: spec.Source, agg: agg, mv: mv, dest: dest}
-	av.applier = core.NewApplier(mv, dest, agg.HWM)
+	if err := dv.SetImage(initRel, asOf); err != nil {
+		cleanup()
+		return nil, err
+	}
+	av := &AggregateView{def: def, source: spec.Source, agg: agg, dest: dest, derived: dv}
+	av.applier = core.NewApplier(dv)
 	av.maintained = maintained{db: db, hwm: agg.HWM, src: src, ups: ups}
-
-	dv, err := db.eng.RegisterDerived(spec.Name, out, dest, agg.HWM)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	dv.SetImage(initRel, asOf)
-	av.derived = dv
 
 	av.prop = db.sched.Register("prop:"+spec.Name, agg.Step, sched.Options{
 		HWM:      agg.HWM,
 		Classify: classifyMaintenance,
 		Backlog: func(limit int) int {
-			return dest.PendingAfter(mv.MatTime(), limit)
+			return dest.PendingAfter(dv.MatTime(), limit)
 		},
 		MaxBacklog:   opt.MaxBacklog,
 		OnProgress:   av.notifyDeps,
@@ -284,28 +278,19 @@ func (av *AggregateView) Source() string { return av.source }
 func (av *AggregateView) HWM() CSN { return av.hwm() }
 
 // MatTime returns the CSN the materialized groups currently reflect.
-func (av *AggregateView) MatTime() CSN { return av.mv.MatTime() }
+func (av *AggregateView) MatTime() CSN { return av.derived.MatTime() }
 
 // Rows returns the materialized group rows sorted by group key.
-func (av *AggregateView) Rows() []Tuple {
-	rel := av.mv.AsRelation()
-	out := make([]Tuple, 0, rel.Len())
-	for _, r := range rel.Rows {
-		for i := int64(0); i < r.Count; i++ {
-			out = append(out, Tuple(r.Tuple))
-		}
-	}
-	return out
-}
+func (av *AggregateView) Rows() []Tuple { return expand(image(av.derived)) }
 
 // Columns returns the output column names.
-func (av *AggregateView) Columns() []string { return av.mv.Schema().Names() }
+func (av *AggregateView) Columns() []string { return av.derived.Schema().Names() }
 
 // Groups returns the number of materialized groups.
-func (av *AggregateView) Groups() int { return av.mv.DistinctTuples() }
+func (av *AggregateView) Groups() int { return image(av.derived).Len() }
 
 // Relation exposes the materialized groups for experiments.
-func (av *AggregateView) Relation() *relalg.Relation { return av.mv.AsRelation() }
+func (av *AggregateView) Relation() *relalg.Relation { return image(av.derived) }
 
 // Refresh rolls the materialized groups to the current high-water mark.
 func (av *AggregateView) Refresh() (CSN, error) {
@@ -355,27 +340,7 @@ func (av *AggregateView) StopAutoRefresh() error {
 // needed, flooring at the smallest downstream high-water mark (see
 // View.PruneApplied).
 func (av *AggregateView) PruneApplied() int {
-	return av.foldTo(maxFoldCSN)
-}
-
-// foldTo is PruneApplied with an extra ceiling from the storage horizon
-// ledger (see View.foldTo).
-func (av *AggregateView) foldTo(limit CSN) int {
-	floor := limit
-	if t := av.mv.MatTime(); t < floor {
-		floor = t
-	}
-	for _, m := range av.db.downstreamsOf(av.def.Name) {
-		if h := m.hwm(); h < floor {
-			floor = h
-		}
-	}
-	if av.derived != nil {
-		if err := av.derived.CompactThrough(floor); err != nil {
-			return 0
-		}
-	}
-	return av.dest.PruneThrough(floor)
+	return av.db.pruneView(av.derived, maxFoldCSN)
 }
 
 // AggStats reports maintenance activity for an aggregate view.
@@ -403,7 +368,7 @@ func (av *AggregateView) Stats() AggStats {
 		RowsApplied:       av.applier.RowsApplied(),
 		Refreshes:         av.applier.Refreshes(),
 		HWM:               av.hwm(),
-		MatTime:           av.mv.MatTime(),
+		MatTime:           av.MatTime(),
 		MaintenanceErr:    av.Err(),
 	}
 }

@@ -240,12 +240,7 @@ func BenchmarkApplyWindow(b *testing.B) {
 	if err := bench.DrainRolling(rp, last); err != nil {
 		b.Fatal(err)
 	}
-	schema, err := env.W.View.Schema(env.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mv := core.NewMaterializedView("bench", schema, 0)
-	applier := core.NewApplier(mv, env.Dest, rp.HWM)
+	applier := core.NewApplier(engine.NewDerived(env.Dest, rp.HWM))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := applier.RollTo(rollingjoin.CSN(i + 1)); err != nil {

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/relalg"
 	"repro/internal/workload"
 )
@@ -73,27 +74,30 @@ func run(updates int, d1, d2 relalg.CSN) error {
 
 	// Roll the materialized view to a random intermediate point, then to
 	// the high-water mark, demonstrating point-in-time refresh.
-	schema, err := env.W.View.Schema(env.DB)
-	if err != nil {
-		return err
-	}
-	mv := core.NewMaterializedView("demo", schema, 0)
-	applier := core.NewApplier(mv, env.Dest, rp.HWM)
+	dv := engine.NewDerived(env.Dest, rp.HWM)
+	applier := core.NewApplier(dv)
 	mid := relalg.CSN(rand.New(rand.NewSource(3)).Int63n(int64(last)) + 1)
 	if err := applier.RollTo(mid); err != nil {
 		return err
 	}
-	fmt.Printf("point-in-time refresh to t=%d: view has %d tuples\n", int64(mid), mv.Cardinality())
+	img, err := dv.Image()
+	if err != nil {
+		return err
+	}
+	fmt.Printf("point-in-time refresh to t=%d: view has %d tuples\n", int64(mid), img.Cardinality())
 	if _, err := applier.RollToHWM(); err != nil {
 		return err
 	}
-	fmt.Printf("refresh to high-water mark t=%d: view has %d tuples\n", int64(rp.HWM()), mv.Cardinality())
+	if img, err = dv.Image(); err != nil {
+		return err
+	}
+	fmt.Printf("refresh to high-water mark t=%d: view has %d tuples\n", int64(rp.HWM()), img.Cardinality())
 
 	full, _, err := core.FullRefresh(env.DB, env.W.View)
 	if err != nil {
 		return err
 	}
-	if relalg.Equivalent(mv.AsRelation(), full) {
+	if relalg.Equivalent(img, full) {
 		fmt.Println("rolled view matches full recomputation ✓")
 	} else {
 		return errors.New("rolled view DIVERGED from recomputation")

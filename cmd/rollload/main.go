@@ -74,7 +74,7 @@ func main() {
 // rolling propagator, and applier over the shared workload definition.
 type viewInst struct {
 	exec     *core.Executor
-	mv       *core.MaterializedView
+	dv       *engine.Derived // unregistered image
 	dest     *engine.DeltaTable
 	rp       *core.RollingPropagator
 	applier  *core.Applier
@@ -143,7 +143,7 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		}
 		exec := core.NewExecutor(db, cap, w.View, dest)
 		exec.Metrics = core.NewExecMetrics()
-		mv, err := core.Materialize(db, w.View)
+		rel, at, err := core.FullRefresh(db, w.View)
 		if err != nil {
 			return err
 		}
@@ -153,11 +153,12 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		} else {
 			policy = core.FixedInterval(relalg.CSN(interval))
 		}
-		rp := core.NewRollingPropagator(exec, mv.MatTime(), policy)
-		insts[i] = &viewInst{
-			exec: exec, mv: mv, dest: dest, rp: rp,
-			applier: core.NewApplier(mv, dest, rp.HWM),
+		rp := core.NewRollingPropagator(exec, at, policy)
+		dv := engine.NewDerived(dest, rp.HWM)
+		if err := dv.SetImage(rel, at); err != nil {
+			return err
 		}
+		insts[i] = &viewInst{exec: exec, dv: dv, dest: dest, rp: rp, applier: core.NewApplier(dv)}
 	}
 
 	// One event-driven maintenance scheduler drives every view.
@@ -178,7 +179,7 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		if faults > 0 {
 			inst := inst
 			inst.applyJob = s.Register(fmt.Sprintf("apply:%d", i), func() error {
-				before := inst.mv.MatTime()
+				before := inst.dv.MatTime()
 				t, err := inst.applier.RollToHWM()
 				if err != nil {
 					return err
@@ -276,7 +277,7 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		}
 		inst.applyJob.Kick()
 		target := inst.rp.HWM()
-		if err := inst.applyJob.Await(ctx, func() bool { return inst.mv.MatTime() >= target }); err != nil {
+		if err := inst.applyJob.Await(ctx, func() bool { return inst.dv.MatTime() >= target }); err != nil {
 			return err
 		}
 		if err := inst.applyJob.Stop(); err != nil {
@@ -293,6 +294,7 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		return err
 	}
 	ok := true
+	var img *relalg.Relation
 	for _, inst := range insts {
 		for inst.rp.HWM() < csn {
 			if err := inst.rp.Step(); err != nil && !errors.Is(err, core.ErrNoProgress) {
@@ -302,7 +304,10 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		if err := inst.applier.RollTo(csn); err != nil {
 			return err
 		}
-		if !relalg.Equivalent(inst.mv.AsRelation(), full) {
+		if img, err = inst.dv.Image(); err != nil {
+			return err
+		}
+		if !relalg.Equivalent(img, full) {
 			ok = false
 		}
 	}
@@ -324,7 +329,7 @@ func run(kind string, n, dims, rows, updates, views, maint int, interval int64, 
 		insts[0].exec.Metrics.Latency.Quantile(0.99).Round(time.Microsecond),
 		insts[0].exec.Metrics.Latency.Max().Round(time.Microsecond))
 	fmt.Printf("delta rows produced:  %d in %d batches (view now %d tuples)\n",
-		produced, batches, insts[0].mv.Cardinality())
+		produced, batches, img.Cardinality())
 	ss := s.Stats()
 	fmt.Printf("scheduler:            %d wakeups, %d steps, %d notifies, %d parks, %d backoffs (%d workers)\n",
 		ss.Wakeups, ss.Steps, ss.Notifies, ss.Parks, ss.Backoffs, ss.Workers)

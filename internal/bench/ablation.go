@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/relalg"
 	"repro/internal/workload"
 )
 
@@ -32,7 +31,7 @@ func A1(s Scale) (*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			mv, err := core.Materialize(env.DB, env.W.View)
+			rel, at, err := core.FullRefresh(env.DB, env.W.View)
 			if err != nil {
 				env.Close()
 				return nil, err
@@ -50,7 +49,7 @@ func A1(s Scale) (*metrics.Table, error) {
 
 			before := env.DB.Stats()
 			start := time.Now()
-			rp := core.NewRollingPropagator(env.Exec, mv.MatTime(), core.FixedInterval(8))
+			rp := core.NewRollingPropagator(env.Exec, at, core.FixedInterval(8))
 			if err := DrainRolling(rp, last); err != nil {
 				env.Close()
 				return nil, err
@@ -58,17 +57,19 @@ func A1(s Scale) (*metrics.Table, error) {
 			dur := time.Since(start)
 			after := env.DB.Stats()
 
-			applier := core.NewApplier(mv, env.Dest, rp.HWM)
-			if _, err := applier.RollToHWM(); err != nil {
-				env.Close()
-				return nil, err
+			dv, err := env.image(rel, at, rp.HWM)
+			if err == nil {
+				_, err = core.NewApplier(dv).RollToHWM()
 			}
-			full, _, err := core.FullRefresh(env.DB, env.W.View)
 			if err != nil {
 				env.Close()
 				return nil, err
 			}
-			match := relalg.Equivalent(mv.AsRelation(), full)
+			match, err := env.matchesRecompute(dv)
+			if err != nil {
+				env.Close()
+				return nil, err
+			}
 			path := "full scan"
 			if indexed {
 				path = "index probes"

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
-	"repro/internal/relalg"
 	"repro/internal/workload"
 )
 
@@ -45,7 +44,7 @@ func A2(s Scale) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mv, err := core.Materialize(env.DB, env.W.View)
+		rel, at, err := core.FullRefresh(env.DB, env.W.View)
 		if err != nil {
 			env.Close()
 			return nil, err
@@ -64,24 +63,26 @@ func A2(s Scale) (*metrics.Table, error) {
 		env.Exec.OnQuery = func(core.TraceEntry) { queries++ }
 
 		start := time.Now()
-		rp := core.NewRollingPropagator(env.Exec, mv.MatTime(), pc.make(env))
+		rp := core.NewRollingPropagator(env.Exec, at, pc.make(env))
 		if err := DrainRolling(rp, last); err != nil {
 			env.Close()
 			return nil, err
 		}
 		dur := time.Since(start)
 
-		applier := core.NewApplier(mv, env.Dest, func() relalg.CSN { return last })
-		if err := applier.RollTo(last); err != nil {
-			env.Close()
-			return nil, err
+		dv, err := env.image(rel, at, rp.HWM)
+		if err == nil {
+			err = core.NewApplier(dv).RollTo(last)
 		}
-		full, _, err := core.FullRefresh(env.DB, env.W.View)
 		if err != nil {
 			env.Close()
 			return nil, err
 		}
-		match := relalg.Equivalent(mv.AsRelation(), full)
+		match, err := env.matchesRecompute(dv)
+		if err != nil {
+			env.Close()
+			return nil, err
+		}
 		es := env.Exec.Stats()
 		t.AddRow(pc.name, queries, es.SkippedEmpty, dur, pass(match))
 		env.Close()

@@ -43,7 +43,7 @@ func E1(s Scale) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mv, err := core.Materialize(env.DB, env.W.View)
+		rel, at, err := core.FullRefresh(env.DB, env.W.View)
 		if err != nil {
 			env.Close()
 			return nil, err
@@ -67,20 +67,29 @@ func E1(s Scale) (*metrics.Table, error) {
 		}
 		fullDur := time.Since(startFull)
 
+		rp := core.NewRollingPropagator(env.Exec, at, core.FixedInterval(relalg.CSN(updates)))
+		dv, err := env.image(rel, at, rp.HWM)
+		if err != nil {
+			env.Close()
+			return nil, err
+		}
 		startInc := time.Now()
-		rp := core.NewRollingPropagator(env.Exec, mv.MatTime(), core.FixedInterval(relalg.CSN(updates)))
 		if err := DrainRolling(rp, last); err != nil {
 			env.Close()
 			return nil, err
 		}
-		applier := core.NewApplier(mv, env.Dest, rp.HWM)
-		if _, err := applier.RollToHWM(); err != nil {
+		if _, err := core.NewApplier(dv).RollToHWM(); err != nil {
 			env.Close()
 			return nil, err
 		}
 		incDur := time.Since(startInc)
 
-		match := relalg.Equivalent(mv.AsRelation(), full)
+		img, err := dv.Image()
+		if err != nil {
+			env.Close()
+			return nil, err
+		}
+		match := relalg.Equivalent(img, full)
 		t.AddRow(updates, fullDur, incDur, float64(fullDur)/float64(incDur), pass(match))
 		env.Close()
 		if !match {
@@ -209,7 +218,7 @@ func E3(s Scale) (*metrics.Table, error) {
 	}
 	defer env.Close()
 
-	mv, err := core.Materialize(env.DB, env.W.View)
+	rel, at, err := core.FullRefresh(env.DB, env.W.View)
 	if err != nil {
 		return nil, err
 	}
@@ -238,21 +247,23 @@ func E3(s Scale) (*metrics.Table, error) {
 		}
 	}
 	startProp := time.Now()
-	rp := core.NewRollingPropagator(env.Exec, mv.MatTime(), core.PerRelationIntervals(16, 48))
+	rp := core.NewRollingPropagator(env.Exec, at, core.PerRelationIntervals(16, 48))
 	if err := DrainRolling(rp, tNew); err != nil {
 		return nil, err
 	}
 	propDur := time.Since(startProp)
 
-	applier := core.NewApplier(mv, env.Dest, rp.HWM)
-	if err := applier.RollTo(tNew); err != nil {
-		return nil, err
+	dv, err := env.image(rel, at, rp.HWM)
+	if err == nil {
+		err = core.NewApplier(dv).RollTo(tNew)
 	}
-	full, _, err := core.FullRefresh(env.DB, env.W.View)
 	if err != nil {
 		return nil, err
 	}
-	match := relalg.Equivalent(mv.AsRelation(), full)
+	match, err := env.matchesRecompute(dv)
+	if err != nil {
+		return nil, err
+	}
 
 	t := metrics.NewTable("E3 — asynchronous deferral: all propagation work happens after t_new",
 		"metric", "value")
@@ -296,15 +307,11 @@ func E4(s Scale) (*metrics.Table, error) {
 		return nil, err
 	}
 
-	schema, err := env.W.View.Schema(env.DB)
-	if err != nil {
-		return nil, err
-	}
 	t := metrics.NewTable("E4 — point-in-time refresh cost vs window width",
 		"window (commits)", "refreshes", "rows applied", "total time", "per refresh")
 	for _, width := range []relalg.CSN{1, 8, 64, relalg.CSN(updates)} {
-		mv := core.NewMaterializedView("pit", schema, 0)
-		applier := core.NewApplier(mv, env.Dest, rp.HWM)
+		dv := engine.NewDerived(env.Dest, rp.HWM)
+		applier := core.NewApplier(dv)
 		start := time.Now()
 		refreshes := 0
 		for ts := width; ts <= last; ts += width {
@@ -313,7 +320,7 @@ func E4(s Scale) (*metrics.Table, error) {
 			}
 			refreshes++
 		}
-		if mv.MatTime() < last {
+		if dv.MatTime() < last {
 			if err := applier.RollTo(last); err != nil {
 				return nil, err
 			}
@@ -425,7 +432,7 @@ func E6(s Scale) (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		mv, err := core.Materialize(env.DB, env.W.View)
+		rel, at, err := core.FullRefresh(env.DB, env.W.View)
 		if err != nil {
 			env.Close()
 			return nil, err
@@ -441,23 +448,25 @@ func E6(s Scale) (*metrics.Table, error) {
 		env.Exec.OnQuery = func(core.TraceEntry) { queries++ }
 
 		start := time.Now()
-		if err := st.run(env, mv.MatTime(), last); err != nil {
+		if err := st.run(env, at, last); err != nil {
 			env.Close()
 			return nil, err
 		}
 		dur := time.Since(start)
 
-		applier := core.NewApplier(mv, env.Dest, func() relalg.CSN { return last })
-		if err := applier.RollTo(last); err != nil {
-			env.Close()
-			return nil, err
+		dv, err := env.image(rel, at, func() relalg.CSN { return last })
+		if err == nil {
+			err = core.NewApplier(dv).RollTo(last)
 		}
-		full, _, err := core.FullRefresh(env.DB, env.W.View)
 		if err != nil {
 			env.Close()
 			return nil, err
 		}
-		match := relalg.Equivalent(mv.AsRelation(), full)
+		match, err := env.matchesRecompute(dv)
+		if err != nil {
+			env.Close()
+			return nil, err
+		}
 		es := env.Exec.Stats()
 		t.AddRow(st.name, queries, es.SkippedEmpty, es.RowsProduced, dur, pass(match))
 		env.Close()

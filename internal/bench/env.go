@@ -115,6 +115,27 @@ func newEnv(w *workload.Workload, seed int64, indexed bool) (*Env, error) {
 	}, nil
 }
 
+// image seeds an unregistered image of the view delta with rel at time
+// at; hwm bounds the image's rolls.
+func (e *Env) image(rel *relalg.Relation, at relalg.CSN, hwm func() relalg.CSN) (*engine.Derived, error) {
+	dv := engine.NewDerived(e.Dest, hwm)
+	return dv, dv.SetImage(rel, at)
+}
+
+// matchesRecompute reports whether an image equals the view recomputed
+// from the base tables.
+func (e *Env) matchesRecompute(dv *engine.Derived) (bool, error) {
+	full, _, err := core.FullRefresh(e.DB, e.W.View)
+	if err != nil {
+		return false, err
+	}
+	img, err := dv.Image()
+	if err != nil {
+		return false, err
+	}
+	return relalg.Equivalent(img, full), nil
+}
+
 // Close tears the environment down, folding the database's activity
 // counters into the package accumulator.
 func (e *Env) Close() {

@@ -184,7 +184,7 @@ type aggGroup struct {
 // they are applied: within a single commit the upstream view delta may
 // interleave compensation (negative) rows with the forward rows they
 // compensate, so invariants hold only at commit granularity — exactly
-// like MaterializedView.applyRows consolidating a window first.
+// like Derived.ApplyThrough netting a window first.
 type aggStage struct {
 	count int64
 	sums  []float64

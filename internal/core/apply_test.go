@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/relalg"
 	"repro/internal/tuple"
 )
@@ -17,6 +18,23 @@ func mustSchema(t *testing.T, env *testEnv) *tuple.Schema {
 		t.Fatal(err)
 	}
 	return sch
+}
+
+// imageOf reads an image at its MatTime.
+func imageOf(t *testing.T, dv *engine.Derived) *relalg.Relation {
+	t.Helper()
+	rel, err := dv.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// newApplier builds an applier over an empty image of the env's view
+// delta at time 0.
+func newApplier(env *testEnv, hwm func() relalg.CSN) (*Applier, *engine.Derived) {
+	dv := engine.NewDerived(env.dest, hwm)
+	return NewApplier(dv), dv
 }
 
 // mvTestTuple builds an all-integer tuple of the given arity that no real
@@ -33,18 +51,15 @@ func TestMaterializeMatchesOracle(t *testing.T) {
 	env := newEnv(t, chainView("v", 2))
 	r := rand.New(rand.NewSource(61))
 	env.randomHistory(r, 30, 4)
-	mv, err := Materialize(env.db, env.view)
+	rel, err := MaterializeAt(env.db, env.view, env.db.StableCSN())
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.mu.Lock()
 	want := env.evalShadowView()
 	env.mu.Unlock()
-	if !relalg.Equivalent(mv.AsRelation(), want) {
-		t.Fatalf("materialized view differs from oracle:\n%s\nvs\n%s", mv.AsRelation(), want)
-	}
-	if mv.Name() != "v" || mv.Schema() == nil {
-		t.Fatal("metadata")
+	if !relalg.Equivalent(rel, want) {
+		t.Fatalf("materialized view differs from oracle:\n%s\nvs\n%s", rel, want)
 	}
 }
 
@@ -53,10 +68,9 @@ func TestApplierRollToEveryPoint(t *testing.T) {
 	r := rand.New(rand.NewSource(62))
 	last := env.randomHistory(r, 40, 4)
 
-	mv := NewMaterializedView("v", mustSchema(t, env), 0)
 	rp := NewRollingPropagator(env.exec, 0, PerRelationIntervals(3, 7))
 	drainRolling(t, rp, last)
-	a := NewApplier(mv, env.dest, rp.HWM)
+	a, dv := newApplier(env, rp.HWM)
 
 	states := env.statesThrough(last)
 	// Roll forward one CSN at a time, comparing against the oracle at every
@@ -65,8 +79,8 @@ func TestApplierRollToEveryPoint(t *testing.T) {
 		if err := a.RollTo(ts); err != nil {
 			t.Fatalf("roll to %d: %v", ts, err)
 		}
-		if !relalg.Equivalent(mv.AsRelation(), states[ts]) {
-			t.Fatalf("state at %d differs:\n%s\nvs oracle\n%s", ts, mv.AsRelation(), states[ts])
+		if got := imageOf(t, dv); !relalg.Equivalent(got, states[ts]) {
+			t.Fatalf("state at %d differs:\n%s\nvs oracle\n%s", ts, got, states[ts])
 		}
 	}
 	if a.Refreshes() == 0 || a.RowsApplied() < 0 {
@@ -82,8 +96,7 @@ func TestApplierCoarseJumpsMatchFineSteps(t *testing.T) {
 	drainRolling(t, rp, last)
 
 	states := env.statesThrough(last)
-	mv := NewMaterializedView("v", mustSchema(t, env), 0)
-	a := NewApplier(mv, env.dest, rp.HWM)
+	a, dv := newApplier(env, rp.HWM)
 	// Jump in random strides.
 	ts := relalg.CSN(0)
 	for ts < last {
@@ -94,7 +107,7 @@ func TestApplierCoarseJumpsMatchFineSteps(t *testing.T) {
 		if err := a.RollTo(ts); err != nil {
 			t.Fatal(err)
 		}
-		if !relalg.Equivalent(mv.AsRelation(), states[ts]) {
+		if !relalg.Equivalent(imageOf(t, dv), states[ts]) {
 			t.Fatalf("coarse state at %d differs", ts)
 		}
 	}
@@ -106,8 +119,7 @@ func TestApplierErrors(t *testing.T) {
 	rp := NewRollingPropagator(env.exec, 0, FixedInterval(4))
 	drainRolling(t, rp, last)
 
-	mv := NewMaterializedView("v", mustSchema(t, env), 0)
-	a := NewApplier(mv, env.dest, rp.HWM)
+	a, _ := newApplier(env, rp.HWM)
 	if err := a.RollTo(rp.HWM() + 100); !errors.Is(err, ErrBeyondHWM) {
 		t.Fatalf("want ErrBeyondHWM, got %v", err)
 	}
@@ -129,39 +141,46 @@ func TestApplierRollToHWMAndPrune(t *testing.T) {
 	rp := NewRollingPropagator(env.exec, 0, FixedInterval(6))
 	drainRolling(t, rp, last)
 
-	mv := NewMaterializedView("v", mustSchema(t, env), 0)
-	a := NewApplier(mv, env.dest, rp.HWM)
+	a, dv := newApplier(env, rp.HWM)
 	reached, err := a.RollToHWM()
 	if err != nil || reached < last {
 		t.Fatalf("RollToHWM: %d %v", reached, err)
 	}
 	states := env.statesThrough(last)
-	if !relalg.Equivalent(mv.AsRelation(), states[last]) {
+	if !relalg.Equivalent(imageOf(t, dv), states[last]) {
 		t.Fatal("state at hwm")
 	}
 	before := env.dest.Len()
-	pruned := a.PruneApplied()
+	// Pruning stops at MatTime, however far it is asked to go.
+	pruned := dv.PruneThrough(last + 100)
 	if pruned == 0 && before > 0 {
 		t.Fatal("prune should reclaim applied rows")
 	}
 	if env.dest.Len() != before-pruned {
 		t.Fatal("prune accounting")
 	}
+	if got := env.dest.PrunedThrough(); got != reached {
+		t.Fatalf("pruned through %d, want MatTime %d", got, reached)
+	}
 }
 
 func TestApplierDetectsCorruptDelta(t *testing.T) {
 	env := newEnv(t, chainView("v", 2))
-	last := env.insert("r1", 1)
+	env.insert("r2", 1)
+	last := env.insert("r1", 1) // joins: the window holds one good row
 	rp := NewRollingPropagator(env.exec, 0, FixedInterval(4))
 	drainRolling(t, rp, last)
+	a, dv := newApplier(env, rp.HWM)
+	before := imageOf(t, dv)
 	// Inject a bogus deletion for a tuple that is not in the view.
-	sch := mustSchema(t, env)
-	mv := NewMaterializedView("v", sch, 0)
-	a := NewApplier(mv, env.dest, rp.HWM)
-	env.dest.Append(last, -1, mvTestTuple(sch.Arity()))
+	env.dest.Append(last, -1, mvTestTuple(mustSchema(t, env).Arity()))
 	err := a.RollTo(last)
 	if !errors.Is(err, ErrNegativeCount) {
 		t.Fatalf("want ErrNegativeCount, got %v", err)
+	}
+	// All or nothing: the good row of the window is not applied either.
+	if got := imageOf(t, dv); dv.MatTime() != 0 || !relalg.Equivalent(got, before) {
+		t.Fatalf("failed apply changed the image: MatTime %d, contents\n%s", dv.MatTime(), got)
 	}
 }
 

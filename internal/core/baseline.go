@@ -30,15 +30,8 @@ func FullRefresh(db *engine.DB, view *ViewDef) (*relalg.Relation, relalg.CSN, er
 	}
 	asOf := snap.AsOf()
 	snap.Close()
-	q := AllBase(view).EngineQuery()
-	q.AsOf = asOf
-	tx := db.Begin()
-	rel, err := tx.EvalQuery(q)
+	rel, err := MaterializeAt(db, view, asOf)
 	if err != nil {
-		tx.Abort()
-		return nil, 0, err
-	}
-	if _, err := tx.Commit(); err != nil {
 		return nil, 0, err
 	}
 	return relalg.NetEffect(rel), asOf, nil

@@ -78,9 +78,8 @@ func TestUnionViewMaintenance(t *testing.T) {
 	drainUnion(t, uv, last)
 
 	// Oracle: recompute both branches and union them.
-	schema, _ := uv.Branches[0].Schema(db)
-	mv := NewMaterializedView("u", schema, 0)
-	applier := NewApplier(mv, uv.Dest(), uv.HWM)
+	dv := engine.NewDerived(uv.Dest(), uv.HWM)
+	applier := NewApplier(dv)
 	if err := applier.RollTo(last); err != nil {
 		t.Fatal(err)
 	}
@@ -93,35 +92,31 @@ func TestUnionViewMaintenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := relalg.Union(full1, full2)
-	if !relalg.Equivalent(mv.AsRelation(), want) {
-		t.Fatalf("union view diverged:\n%s\nvs\n%s", mv.AsRelation(), relalg.NetEffect(want))
+	if got := imageOf(t, dv); !relalg.Equivalent(got, want) {
+		t.Fatalf("union view diverged:\n%s\nvs\n%s", got, relalg.NetEffect(want))
 	}
 }
 
 func TestUnionViewPointInTime(t *testing.T) {
-	db, _, uv, insert := unionEnv(t)
+	_, _, uv, insert := unionEnv(t)
 	insert("r2", 1)
 	mid := insert("r1", 1)  // joins r2 branch
 	last := insert("r3", 1) // joins r3 branch too
 	drainUnion(t, uv, last)
 
-	schema, err := uv.Branches[0].Schema(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv := NewMaterializedView("u", schema, 0)
-	applier := NewApplier(mv, uv.Dest(), uv.HWM)
+	dv := engine.NewDerived(uv.Dest(), uv.HWM)
+	applier := NewApplier(dv)
 	if err := applier.RollTo(mid); err != nil {
 		t.Fatal(err)
 	}
-	if mv.Cardinality() != 1 {
-		t.Fatalf("at mid: %d tuples", mv.Cardinality())
+	if n := imageOf(t, dv).Cardinality(); n != 1 {
+		t.Fatalf("at mid: %d tuples", n)
 	}
 	if err := applier.RollTo(last); err != nil {
 		t.Fatal(err)
 	}
-	if mv.Cardinality() != 2 {
-		t.Fatalf("at last: %d tuples", mv.Cardinality())
+	if n := imageOf(t, dv).Cardinality(); n != 2 {
+		t.Fatalf("at last: %d tuples", n)
 	}
 }
 

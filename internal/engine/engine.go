@@ -328,7 +328,7 @@ type Stats struct {
 	// horizon ledger's floor; SpilledBytes the cumulative bytes serialized
 	// by cold spill; ColdLoads the lazy reloads of spilled state.
 	// ImageResidentBytes is the current in-memory footprint of derived-view
-	// base images (spilled images count zero until reloaded).
+	// images (spilled images count zero until reloaded).
 	Compactions        int64
 	FoldedRows         int64
 	SpilledBytes       int64

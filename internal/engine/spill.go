@@ -20,24 +20,25 @@ import (
 // access. Spill files are volatile per-process state: the facade creates a
 // fresh spill directory per instance, so a restarted process never
 // consults a predecessor's files — after a crash, images are
-// rematerialized, the same as before spill existed. A derived image is NOT
-// reconstructible in-process once its delta prefix has been folded away,
-// so loads validate strictly (magic, image time, CRC) and surface
+// rematerialized, the same as before spill existed. The spilled image is
+// the image at MatTime, which apply does not move while it is cold. It is
+// NOT reconstructible in-process (the delta below its prune floor is
+// gone), so loads validate strictly (magic, MatTime, CRC) and surface
 // ErrSpillLost on failure.
 const (
 	spillMagic   = 0x524a5350 // "RJSP"
 	spillVersion = 1
 
-	spillKindImage = 1 // derived-view base image
+	spillKindImage = 1 // derived-view image
 )
 
 // errBadSpill marks a structurally invalid spill file.
 var errBadSpill = errors.New("engine: corrupt spill file")
 
 // ErrSpillLost is returned when a spilled derived image cannot be read
-// back: the in-memory copy was dropped at spill time and the delta prefix
-// below the image time may already be folded away, so the state is not
-// reconstructible in-process (a restart rematerializes the view).
+// back: the in-memory copy was dropped at spill time and the delta below
+// the prune floor is gone, so the state is not reconstructible in-process
+// (a restart rematerializes the view).
 var ErrSpillLost = errors.New("engine: spilled derived image unreadable")
 
 // writeSpillFile atomically publishes a spill file: body streams the
@@ -157,7 +158,8 @@ func (db *DB) SpillIdle(dir string, cutoff time.Time) (int, error) {
 }
 
 // imageResidentBytes reports the current in-memory footprint of derived
-// base images (spilled images count zero until reloaded).
+// images (spilled images count zero until reloaded). It walks the images,
+// so it follows apply's growth and shrinkage.
 func (db *DB) imageResidentBytes() int64 {
 	db.mu.RLock()
 	dvs := make([]*Derived, 0, len(db.derived))
@@ -210,7 +212,7 @@ func (dv *Derived) SpillIfIdle(dir string, cutoff time.Time) (int64, error) {
 		if err := writeBytes(cw, []byte(dv.name)); err != nil {
 			return err
 		}
-		if err := writeUvarint(cw, uint64(dv.imageTime)); err != nil {
+		if err := writeUvarint(cw, uint64(dv.matTime)); err != nil {
 			return err
 		}
 		if err := writeUvarint(cw, uint64(len(dv.image))); err != nil {
@@ -242,8 +244,8 @@ func (dv *Derived) SpillIfIdle(dir string, cutoff time.Time) (int64, error) {
 
 // loadLocked reads a spilled image back into memory. The caller holds
 // dv.mu in write mode. A spilled image that cannot be read back is lost
-// state (see ErrSpillLost): the delta prefix below the image time may be
-// folded away, so there is nothing to rebuild from in-process.
+// state (see ErrSpillLost): the delta below the prune floor is gone, so
+// there is nothing to rebuild from in-process.
 func (dv *Derived) loadLocked() error {
 	if !dv.spilled {
 		return nil
@@ -271,8 +273,8 @@ func (dv *Derived) loadLocked() error {
 		if err != nil {
 			return err
 		}
-		if relalg.CSN(at) != dv.imageTime {
-			return fmt.Errorf("%w: image at CSN %d, want %d", errBadSpill, at, dv.imageTime)
+		if relalg.CSN(at) != dv.matTime {
+			return fmt.Errorf("%w: image at CSN %d, want %d", errBadSpill, at, dv.matTime)
 		}
 		n, err := binary.ReadUvarint(cr)
 		if err != nil {

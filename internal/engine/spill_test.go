@@ -24,14 +24,16 @@ func spillTestDerived(t *testing.T) (*DB, *Derived) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dv, err := db.RegisterDerived("v", schema, dest, func() relalg.CSN { return 10 })
+	dv, err := db.RegisterDerived(dest, func() relalg.CSN { return 10 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	rel := relalg.NewRelation(schema)
 	rel.Add(tuple.Tuple{tuple.Int(1), tuple.Int(10)}, 1, relalg.NullTS)
 	rel.Add(tuple.Tuple{tuple.Int(2), tuple.Int(20)}, 2, relalg.NullTS)
-	dv.SetImage(rel, 5)
+	if err := dv.SetImage(rel, 5); err != nil {
+		t.Fatal(err)
+	}
 	dest.Append(6, 1, tuple.Tuple{tuple.Int(3), tuple.Int(30)})
 	return db, dv
 }
@@ -65,7 +67,7 @@ func TestDerivedSpillAndReload(t *testing.T) {
 		t.Fatalf("spilled image still resident: %d bytes", st.ImageResidentBytes)
 	}
 
-	// A read above the image time reloads lazily and folds the window.
+	// A read above MatTime reloads lazily and folds the window.
 	rel, err := dv.ScanAsOf(6, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -98,10 +100,10 @@ func TestDerivedSpillScanBelowImageStaysCold(t *testing.T) {
 	if _, err := db.SpillIdle(dir, futureCutoff()); err != nil {
 		t.Fatal(err)
 	}
-	// Below the image time the answer is gone regardless of residency —
+	// Below the prune floor the answer is gone regardless of residency —
 	// report ErrDerivedPruned without paying a reload.
 	if _, err := dv.ScanAsOf(3, nil); !errors.Is(err, ErrDerivedPruned) {
-		t.Fatalf("scan below image time: want ErrDerivedPruned, got %v", err)
+		t.Fatalf("scan below the prune floor: want ErrDerivedPruned, got %v", err)
 	}
 	if !dv.Spilled() {
 		t.Fatal("pruned-time scan should leave the image cold")
@@ -141,29 +143,28 @@ func TestDerivedSpillLost(t *testing.T) {
 	}
 }
 
-func TestCompactThroughLeavesColdImageCold(t *testing.T) {
+func TestApplyReloadsColdImage(t *testing.T) {
 	db, dv := spillTestDerived(t)
 	dir := t.TempDir()
 	if _, err := db.SpillIdle(dir, futureCutoff()); err != nil {
 		t.Fatal(err)
 	}
-	// Compacting to (at or below) the image time is a no-op and must not
-	// page the image back in.
-	if err := dv.CompactThrough(5); err != nil {
-		t.Fatal(err)
+	// A prune touches only the delta and must not page the image back in.
+	if n := dv.PruneThrough(5); n != 0 {
+		t.Fatalf("pruned %d rows at the seed time, want 0", n)
 	}
 	if !dv.Spilled() {
-		t.Fatal("no-op compact should leave the image spilled")
+		t.Fatal("prune should leave the image spilled")
 	}
-	// A real fold reloads, folds, and advances the image time.
-	if err := dv.CompactThrough(6); err != nil {
-		t.Fatal(err)
+	// Apply reloads, folds, and advances MatTime.
+	if n, err := dv.ApplyThrough(6); err != nil || n != 1 {
+		t.Fatalf("apply through 6: n=%d err=%v", n, err)
 	}
 	if dv.Spilled() {
-		t.Fatal("fold should have reloaded the image")
+		t.Fatal("apply should have reloaded the image")
 	}
-	if got := dv.ImageTime(); got != 6 {
-		t.Fatalf("image time %d after fold, want 6", got)
+	if got := dv.MatTime(); got != 6 {
+		t.Fatalf("MatTime %d after apply, want 6", got)
 	}
 	if st := db.Stats(); st.ColdLoads != 1 {
 		t.Fatalf("ColdLoads = %d, want 1", st.ColdLoads)

@@ -81,8 +81,7 @@ func (l *HorizonLedger) Floor() relalg.CSN {
 	return floor
 }
 
-// NoteFold records one completed fold pass that reclaimed rows delta rows
-// (image compactions plus delta-prefix prunes).
+// NoteFold records one completed fold pass that pruned rows delta rows.
 func (db *DB) NoteFold(rows int64) {
 	db.compactions.Add(1)
 	db.foldedRows.Add(rows)

@@ -238,7 +238,7 @@ func (m *maintained) PropagateStep() error { return m.prop.StepNow() }
 // high-water mark, so the job sleeps until the next propagation advance.
 func applyStep(a *core.Applier) func() error {
 	return func() error {
-		before := a.View().MatTime()
+		before := a.MatTime()
 		t, err := a.RollToHWM()
 		if err != nil {
 			return err

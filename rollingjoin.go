@@ -59,12 +59,12 @@ type Options struct {
 	// executor default (256).
 	BatchSize int
 	// FoldDeltas schedules the background delta-prefix fold job: a
-	// low-priority maintenance job, woken by capture progress, that folds
-	// view delta prefixes below the storage horizon into the derived
-	// images, prunes unreachable base delta rows, collects dead row
-	// versions, and trims the unit-of-work table — bounding memory under
-	// sustained ingest. Point-in-time refresh above the fold line is
-	// unaffected.
+	// low-priority maintenance job, woken by capture progress, that prunes
+	// view delta prefixes below the storage horizon (each view's image at
+	// MatTime already covers them), prunes unreachable base delta rows,
+	// collects dead row versions, and trims the unit-of-work table —
+	// bounding memory under sustained ingest. Point-in-time refresh above
+	// the fold line is unaffected.
 	FoldDeltas bool
 	// SpillDir enables cold spill: derived images untouched for
 	// SpillAfter serialize into a per-process subdirectory of SpillDir and
@@ -531,13 +531,7 @@ func (db *DB) Query(spec ViewSpec) (*QueryResult, error) {
 	if _, err := tx.Commit(); err != nil {
 		return nil, err
 	}
-	res := &QueryResult{Columns: schema.Names()}
-	for _, row := range relalg.NetEffect(rel).Rows {
-		for i := int64(0); i < row.Count; i++ {
-			res.Rows = append(res.Rows, Tuple(row.Tuple))
-		}
-	}
-	return res, nil
+	return &QueryResult{Columns: schema.Names(), Rows: expand(relalg.NetEffect(rel))}, nil
 }
 
 // ViewNames returns the defined views, sorted.
@@ -664,7 +658,7 @@ func (db *DB) DefineView(spec ViewSpec, opt Maintain) (*View, error) {
 			return nil, err
 		}
 	}
-	mv, err := core.MaterializeAt(db.eng, def, asOf)
+	rel, err := core.MaterializeAt(db.eng, def, asOf)
 	if err != nil {
 		cleanup()
 		return nil, err
@@ -686,35 +680,39 @@ func (db *DB) DefineView(spec ViewSpec, opt Maintain) (*View, error) {
 		policy = core.FixedInterval(interval)
 	}
 
-	v := &View{def: def, exec: exec, mv: mv, dest: dest}
+	v := &View{def: def, exec: exec, dest: dest}
 	var step func() error
 	var hwm func() CSN
 	switch opt.Algorithm {
 	case AlgorithmStepwise:
-		p := core.NewPropagator(exec, mv.MatTime(), policy)
+		p := core.NewPropagator(exec, asOf, policy)
 		step, hwm = p.Step, p.HWM
 	default:
-		rp := core.NewRollingPropagator(exec, mv.MatTime(), policy)
+		rp := core.NewRollingPropagator(exec, asOf, policy)
 		step, hwm = rp.Step, rp.HWM
 		v.rolling = rp
 	}
-	v.applier = core.NewApplier(mv, dest, hwm)
-	v.maintained = maintained{db: db, hwm: hwm, src: src, ups: ups}
 
-	// Register the view as a derived relation: its fixed image at asOf
-	// plus the delta stream make it readable at any CSN up to the HWM.
-	dv, err := db.eng.RegisterDerived(def.Name, schema, dest, hwm)
+	// The view's one stored state: its image at asOf plus the delta
+	// stream, registered as a relation readable at any CSN from the prune
+	// floor up to the HWM.
+	dv, err := db.eng.RegisterDerived(dest, hwm)
 	if err != nil {
 		cleanup()
 		return nil, err
 	}
-	dv.SetImage(mv.AsRelation(), asOf)
+	if err := dv.SetImage(rel, asOf); err != nil {
+		cleanup()
+		return nil, err
+	}
 	v.derived = dv
+	v.applier = core.NewApplier(dv)
+	v.maintained = maintained{db: db, hwm: hwm, src: src, ups: ups}
 	v.prop = db.sched.Register("prop:"+def.Name, step, sched.Options{
 		HWM:      hwm,
 		Classify: classifyMaintenance,
 		Backlog: func(limit int) int {
-			return dest.PendingAfter(mv.MatTime(), limit)
+			return dest.PendingAfter(dv.MatTime(), limit)
 		},
 		MaxBacklog:   opt.MaxBacklog,
 		OnProgress:   v.notifyDeps,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/relalg"
 	"repro/internal/sched"
 )
@@ -19,7 +20,7 @@ type UnionView struct {
 	maintained
 
 	inner   *core.UnionView
-	mv      *core.MaterializedView
+	derived *engine.Derived // unregistered: nothing downstream reads a union
 	applier *core.Applier
 }
 
@@ -59,24 +60,18 @@ func (db *DB) DefineUnionView(name string, branches []ViewSpec, opt Maintain) (*
 	// (Define union views before bulk loads, or prune with care: unlike
 	// DefineView there is no initial materialization shortcut, keeping all
 	// branches on one consistent time axis.)
-	schema, err := defs[0].Schema(db.eng)
-	if err != nil {
-		return nil, err
-	}
-	mv := core.NewMaterializedView(name, schema, 0)
-
 	inner, err := core.NewUnionView(db.eng, db.src, name, 0, policy, defs...)
 	if err != nil {
 		return nil, err
 	}
-	uv := &UnionView{inner: inner, mv: mv}
-	uv.applier = core.NewApplier(mv, inner.Dest(), inner.HWM)
+	dv := engine.NewDerived(inner.Dest(), inner.HWM)
+	uv := &UnionView{inner: inner, derived: dv, applier: core.NewApplier(dv)}
 	uv.maintained = maintained{db: db, hwm: inner.HWM}
 	uv.prop = db.sched.Register("prop:"+name, inner.Step, sched.Options{
 		HWM:      inner.HWM,
 		Classify: classifyMaintenance,
 		Backlog: func(limit int) int {
-			return inner.Dest().PendingAfter(mv.MatTime(), limit)
+			return inner.Dest().PendingAfter(dv.MatTime(), limit)
 		},
 		MaxBacklog:   opt.MaxBacklog,
 		OnProgress:   uv.notifyDeps,
@@ -104,22 +99,13 @@ func (uv *UnionView) Name() string { return uv.inner.Name }
 func (uv *UnionView) HWM() CSN { return uv.inner.HWM() }
 
 // MatTime returns the commit the materialized tuples reflect.
-func (uv *UnionView) MatTime() CSN { return uv.mv.MatTime() }
+func (uv *UnionView) MatTime() CSN { return uv.derived.MatTime() }
 
 // Cardinality returns the number of tuples with multiplicity.
-func (uv *UnionView) Cardinality() int64 { return uv.mv.Cardinality() }
+func (uv *UnionView) Cardinality() int64 { return image(uv.derived).Cardinality() }
 
-// Rows returns the materialized tuples (multiplicity expanded).
-func (uv *UnionView) Rows() []Tuple {
-	rel := uv.mv.AsRelation()
-	out := make([]Tuple, 0, rel.Len())
-	for _, r := range rel.Rows {
-		for i := int64(0); i < r.Count; i++ {
-			out = append(out, Tuple(r.Tuple))
-		}
-	}
-	return out
-}
+// Rows returns the materialized tuples, sorted (multiplicity expanded).
+func (uv *UnionView) Rows() []Tuple { return expand(image(uv.derived)) }
 
 // Refresh rolls the union view to its high-water mark.
 func (uv *UnionView) Refresh() (CSN, error) {
@@ -137,4 +123,4 @@ func (uv *UnionView) RefreshTo(t CSN) error {
 
 // Relation exposes the materialized contents for experiments and the SQL
 // layer.
-func (uv *UnionView) Relation() *relalg.Relation { return uv.mv.AsRelation() }
+func (uv *UnionView) Relation() *relalg.Relation { return image(uv.derived) }

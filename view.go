@@ -1,7 +1,6 @@
 package rollingjoin
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/core"
@@ -35,11 +34,11 @@ type View struct {
 
 	def  *core.ViewDef
 	exec *core.Executor
-	mv   *core.MaterializedView
 	dest *engine.DeltaTable
 
-	// derived is the view's registration as a readable relation (image +
-	// delta stream); downstream views scan it like a base table.
+	// derived is the view's one stored state: its image at MatTime plus
+	// its delta stream, registered as a relation downstream views scan
+	// like a base table.
 	derived *engine.Derived
 
 	applier *core.Applier
@@ -55,23 +54,14 @@ func (v *View) HWM() CSN { return v.hwm() }
 
 // MatTime returns the CSN whose database state the materialized tuples
 // currently reflect.
-func (v *View) MatTime() CSN { return v.mv.MatTime() }
+func (v *View) MatTime() CSN { return v.derived.MatTime() }
 
-// Rows returns the materialized tuples in net-effect form; a tuple with
-// multiplicity m appears m times.
-func (v *View) Rows() []Tuple {
-	rel := v.mv.AsRelation()
-	out := make([]Tuple, 0, rel.Len())
-	for _, r := range rel.Rows {
-		for i := int64(0); i < r.Count; i++ {
-			out = append(out, Tuple(r.Tuple))
-		}
-	}
-	return out
-}
+// Rows returns the materialized tuples in net-effect form, sorted; a
+// tuple with multiplicity m appears m times.
+func (v *View) Rows() []Tuple { return expand(image(v.derived)) }
 
 // Cardinality returns the number of tuples (with multiplicity).
-func (v *View) Cardinality() int64 { return v.mv.Cardinality() }
+func (v *View) Cardinality() int64 { return image(v.derived).Cardinality() }
 
 // MaterializeAt computes the view's contents as of an arbitrary CSN at or
 // below the high-water mark — the derived image plus the delta window up
@@ -80,21 +70,34 @@ func (v *View) Cardinality() int64 { return v.mv.Cardinality() }
 // point-in-time read: any number of clients can materialize at different
 // instants concurrently with ongoing maintenance.
 func (v *View) MaterializeAt(asOf CSN) ([]Tuple, error) {
-	if v.derived == nil {
-		return nil, errors.New("rollingjoin: view has no derived registration")
-	}
 	rel, err := v.derived.ScanAsOf(asOf, nil)
 	if err != nil {
 		return nil, err
 	}
-	net := relalg.NetEffect(rel)
-	out := make([]Tuple, 0, net.Len())
-	for _, r := range net.Rows {
+	return expand(rel), nil
+}
+
+// image reads a maintained relation's image at its MatTime. An image that
+// cannot be read back from cold spill (engine.ErrSpillLost) reads as
+// empty here; Refresh and MaterializeAt report that error.
+func image(dv *engine.Derived) *relalg.Relation {
+	rel, err := dv.Image()
+	if err != nil {
+		return relalg.NewRelation(dv.Schema())
+	}
+	return rel
+}
+
+// expand lists a relation's tuples in its row order, a tuple with
+// multiplicity m appearing m times.
+func expand(rel *relalg.Relation) []Tuple {
+	out := make([]Tuple, 0, rel.Len())
+	for _, r := range rel.Rows {
 		for i := int64(0); i < r.Count; i++ {
 			out = append(out, Tuple(r.Tuple))
 		}
 	}
-	return out, nil
+	return out
 }
 
 // EachDelta streams the view's timed delta rows with CSN in (lo, hi] in
@@ -114,7 +117,7 @@ func (v *View) EachDelta(lo, hi CSN, fn func(ts CSN, count int64, row Tuple) err
 }
 
 // Relation exposes the materialized contents for experiments.
-func (v *View) Relation() *relalg.Relation { return v.mv.AsRelation() }
+func (v *View) Relation() *relalg.Relation { return image(v.derived) }
 
 // Refresh rolls the materialized view to the current high-water mark and
 // returns the CSN reached.
@@ -152,32 +155,10 @@ func (v *View) RefreshToTime(t time.Time) (CSN, error) {
 // The safe floor is the materialization time, further lowered to the
 // smallest high-water mark of any maintained view defined over this one:
 // a downstream view reads this view's delta both as its propagation
-// input (windows above its HWM) and through the derived image (state at
-// or below it), so the image is compacted to the floor before rows at or
-// below it are discarded.
+// input (windows above its HWM) and through the image, rolled back to
+// states at or above that HWM.
 func (v *View) PruneApplied() int {
-	return v.foldTo(maxFoldCSN)
-}
-
-// foldTo is PruneApplied with an extra ceiling: the fold job passes the
-// storage horizon ledger's floor so open snapshots and external pins keep
-// point-in-time refresh intact below the usual MatTime/downstream floor.
-func (v *View) foldTo(limit CSN) int {
-	floor := limit
-	if t := v.mv.MatTime(); t < floor {
-		floor = t
-	}
-	for _, m := range v.db.downstreamsOf(v.def.Name) {
-		if h := m.hwm(); h < floor {
-			floor = h
-		}
-	}
-	if v.derived != nil {
-		if err := v.derived.CompactThrough(floor); err != nil {
-			return 0
-		}
-	}
-	return v.dest.PruneThrough(floor)
+	return v.db.pruneView(v.derived, maxFoldCSN)
 }
 
 // Stats reports maintenance activity for the view.
@@ -210,11 +191,11 @@ func (v *View) Stats() ViewStats {
 		SkippedEmptyWindows: es.SkippedEmpty,
 		DeltaRowsProduced:   es.RowsProduced,
 		DeltaRowsPending:    v.dest.Len(),
-		DeltaRowsUnapplied:  v.dest.PendingAfter(v.mv.MatTime(), 0),
+		DeltaRowsUnapplied:  v.dest.PendingAfter(v.MatTime(), 0),
 		RowsApplied:         v.applier.RowsApplied(),
 		Refreshes:           v.applier.Refreshes(),
 		HWM:                 v.hwm(),
-		MatTime:             v.mv.MatTime(),
+		MatTime:             v.MatTime(),
 		MaintenanceErr:      v.Err(),
 	}
 }
