@@ -194,8 +194,15 @@ func TestReplicationConverges(t *testing.T) {
 		t.Fatal("HTTP commit returned CSN 0")
 	}
 
-	// Quiesce the leader: roll its view to the frontier, then snapshot the
+	// Quiesce the leader: let its asynchronous propagation reach the last
+	// commit (Refresh rolls only to the current HWM, which may still trail
+	// every order), roll its view to the frontier, then snapshot the
 	// convergence target.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := lv.WaitForHWMContext(ctx, leader.LastCSN()); err != nil {
+		t.Fatalf("leader HWM %d, last CSN %d: %v", lv.HWM(), leader.LastCSN(), err)
+	}
 	if _, err := lv.Refresh(); err != nil {
 		t.Fatalf("leader refresh: %v", err)
 	}
@@ -205,8 +212,6 @@ func TestReplicationConverges(t *testing.T) {
 	waitFor(t, "follower replay", 10*time.Second, func() bool {
 		return follower.AppliedCSN() >= target
 	})
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	if err := fv.WaitForHWMContext(ctx, hwmTarget); err != nil {
 		t.Fatalf("follower HWM %d (applied %d, leader hwm %d): %v",
 			fv.HWM(), follower.AppliedCSN(), hwmTarget, err)
