@@ -465,11 +465,6 @@ func (l *Log) WaitBeyond(ctx context.Context, off int64) error {
 	}
 }
 
-// waitBeyond is WaitBeyond without cancellation, for in-process tailers.
-func (l *Log) waitBeyond(off int64) error {
-	return l.WaitBeyond(context.Background(), off)
-}
-
 // Reader tails the log from a byte offset. It is not goroutine-safe; use
 // one Reader per consumer.
 type Reader struct {
