@@ -348,3 +348,49 @@ func BenchmarkAggregateStepAllocs(b *testing.B) {
 		b.Fatalf("groups = %d, want %d", av.Groups(), groups)
 	}
 }
+
+// BenchmarkFoldPassAllocs measures one synchronous fold pass over a
+// 20k-row table with nothing to reclaim: no dead versions, an empty delta
+// window below the horizon, no view delta to prune. Version GC pops its
+// dead-version queue instead of walking the heap, so the pass allocates
+// the same however many rows the table holds. The CI gate holds allocs/op
+// to a small fixed budget; a pass that decodes every heap row would
+// allocate once per row.
+func BenchmarkFoldPassAllocs(b *testing.B) {
+	db, err := rollingjoin.Open(rollingjoin.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateTable("facts", rollingjoin.Col("id", rollingjoin.TypeInt), rollingjoin.Col("v", rollingjoin.TypeInt)); err != nil {
+		b.Fatal(err)
+	}
+	const rows = 20000
+	if _, err := db.Update(func(tx *rollingjoin.Tx) error {
+		for i := 0; i < rows; i++ {
+			if err := tx.Insert("facts", rollingjoin.Int(int64(i)), rollingjoin.Int(int64(i%7))); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		b.Fatal(err)
+	}
+	// The first pass prunes the insert's delta window; later passes find
+	// nothing.
+	if err := db.Fold(); err != nil {
+		b.Fatal(err)
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := db.Fold(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := db.Engine().DeadVersionsRetained(); n != 0 {
+		b.Fatalf("dead versions retained = %d, want 0", n)
+	}
+}

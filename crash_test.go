@@ -539,3 +539,90 @@ func TestCrashRecoveryCascade(t *testing.T) {
 		}
 	}
 }
+
+// TestOrphanFramesStayOrphaned: a transaction cut off before its commit
+// record leaves Begin/Insert frames in the log. A later process must not
+// reuse that transaction id, or recovery and log capture (both group
+// frames by id) attribute the orphan's rows to the later commit.
+func TestOrphanFramesStayOrphaned(t *testing.T) {
+	const orphanID = 666
+	dev := wal.NewMemDevice()
+	db, err := Open(Options{Device: dev})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashCatalog(t, db)
+	// The process's first transaction logs Begin and Insert, then the
+	// process dies before the commit record.
+	orphan := db.Engine().Begin()
+	if err := orphan.Insert("orders", Tuple{Int(orphanID), Str("ball")}); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+
+	// reopen recovers the log and checks that neither the base table nor
+	// the view holds the orphan row.
+	reopen := func(step string) (*DB, *View) {
+		db, err := Open(Options{Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		crashCatalog(t, db)
+		if _, err := db.Recover(); err != nil {
+			t.Fatalf("%s: recover: %v", step, err)
+		}
+		view, err := db.DefineView(orderPricesSpec(), Maintain{Interval: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db, view
+	}
+	check := func(step string, db *DB, view *View) {
+		t.Helper()
+		if err := view.CatchUp(db.LastCSN()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := view.Refresh(); err != nil && !errors.Is(err, ErrBackward) {
+			t.Fatal(err)
+		}
+		tx := db.Engine().Begin()
+		orders, err := tx.Scan("orders", nil)
+		tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range orders.Rows {
+			if r.Tuple[0].AsInt() == orphanID {
+				t.Fatalf("%s: table orders holds the orphan row %v", step, r.Tuple)
+			}
+		}
+		for _, r := range view.Rows() {
+			if r[0].AsInt() == orphanID {
+				t.Fatalf("%s: view holds the orphan row %v", step, r)
+			}
+		}
+		full, err := db.Query(orderPricesSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !multisetsEqual(multiset(view.Rows()), multiset(full.Rows)) {
+			t.Fatalf("%s: view diverged from recomputation:\n view: %v\n full: %v", step, view.Rows(), full.Rows)
+		}
+	}
+
+	db2, view2 := reopen("first reopen")
+	if _, err := db2.Update(func(tx *Tx) error {
+		if err := tx.Insert("items", Str("ball"), Int(5)); err != nil {
+			return err
+		}
+		return tx.Insert("orders", Int(1), Str("ball"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("first reopen", db2, view2)
+	db2.Close()
+
+	db3, view3 := reopen("second reopen")
+	defer db3.Close()
+	check("second reopen", db3, view3)
+}

@@ -24,7 +24,9 @@ import (
 //     can still be mutating version headers while the snapshot reads.
 //  3. GC clamping: version garbage collection never removes a dead
 //     version still visible to a registered snapshot, and snapshots below
-//     the collected horizon are refused with ErrSnapshotTooOld.
+//     the collected horizon are refused with ErrSnapshotTooOld. GC finds
+//     its candidates through each table's dead-version queue, so a pass
+//     costs O(versions collected), not O(rows in the heap).
 //
 // Propagation and capture catch-up reads both resolve visibility through
 // this one abstraction, which is what makes a query's reported execution
@@ -112,7 +114,9 @@ func (db *DB) OpenSnapshot(asOf relalg.CSN) (*Snapshot, error) {
 // reader: versions whose dead CSN is at or below min(stable CSN, every
 // registered snapshot's AsOf). It returns the number of versions removed
 // and the horizon used. Future OpenSnapshot calls below the horizon fail
-// with ErrSnapshotTooOld.
+// with ErrSnapshotTooOld. Each table pops candidates from its dead-version
+// queue in dead-CSN order, so the cost is proportional to the versions
+// collected; a pass with nothing below the horizon reads no heap row.
 func (db *DB) GCVersions() (collected int64, horizon relalg.CSN) {
 	return db.GCVersionsBelow(relalg.CSN(math.MaxInt64))
 }

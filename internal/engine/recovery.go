@@ -18,7 +18,8 @@ import (
 // the recovery semantics of the log (an unfinished transaction never
 // happened). The capture process reads the same log independently to
 // rebuild the delta tables, so after Recover plus capture catch-up the
-// whole system is back to its pre-crash state.
+// whole system is back to its pre-crash state. New transactions draw ids
+// above every transaction id in the replayed log.
 func (db *DB) Recover() (relalg.CSN, error) { return db.recover(0) }
 
 // recover replays committed transactions from the given byte offset of the
@@ -31,6 +32,7 @@ func (db *DB) recover(offset int64) (relalg.CSN, error) {
 	}
 	pending := make(map[uint64][]change)
 	var maxCSN relalg.CSN
+	var maxTxID uint64
 
 	r := db.log.NewReader(offset)
 	for {
@@ -40,6 +42,9 @@ func (db *DB) recover(offset int64) (relalg.CSN, error) {
 		}
 		if err != nil {
 			return 0, fmt.Errorf("engine: recovery: %w", err)
+		}
+		if rec.TxID > maxTxID {
+			maxTxID = rec.TxID
 		}
 		switch rec.Type {
 		case wal.TypeBegin:
@@ -70,6 +75,7 @@ func (db *DB) recover(offset int64) (relalg.CSN, error) {
 		}
 	}
 	db.tm.Recover(maxCSN)
+	db.tm.RecoverTxID(maxTxID)
 	return maxCSN, nil
 }
 

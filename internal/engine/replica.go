@@ -72,8 +72,8 @@ func (t *Table) stampDeadReplicated(row tuple.Tuple, csn relalg.CSN) bool {
 		if dead != csnNone || !got.Equal(row) {
 			continue
 		}
-		t.setVersion(rowidFromKey(it.Key()), born, csn)
-		t.dead++
+		t.setVersion(it.Key(), it.Value(), born, csn)
+		t.noteDead(rowidFromKey(it.Key()), csn)
 		return true
 	}
 	return false

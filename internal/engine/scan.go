@@ -46,18 +46,6 @@ func (s *tableScan) Open() error {
 	return nil
 }
 
-// decodeVersionHeader splits a heap value into its version header and the
-// still-encoded row payload (the columnar ingress does not materialize
-// the tuple).
-func decodeVersionHeader(v []byte) (born, dead relalg.CSN, enc []byte) {
-	if len(v) < 16 {
-		panic("engine: corrupt heap row: short version header")
-	}
-	born = relalg.CSN(binary.BigEndian.Uint64(v[0:8]))
-	dead = relalg.CSN(binary.BigEndian.Uint64(v[8:16]))
-	return born, dead, v[16:]
-}
-
 // Next implements exec.Operator.
 func (s *tableScan) Next(out *relalg.Batch) (bool, error) {
 	max := s.db.batchSize

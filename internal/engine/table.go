@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"container/heap"
 	"encoding/binary"
 	"math"
 	"sync"
@@ -43,7 +44,8 @@ type Table struct {
 	heap    *btree.Tree // rowid (8B big-endian) -> [born 8B][dead 8B][row encoding]
 	nextRow uint64      // last assigned rowid (the insertion sequence)
 	indexes []*Index
-	dead    int64 // committed-dead versions retained (pending GC)
+	dead    int64     // committed-dead versions retained (pending GC)
+	deadQ   deadQueue // one entry per committed-dead version, for GC
 }
 
 // rowidFromKey decodes a heap key back to its rowid.
@@ -98,13 +100,20 @@ func encodeVersionedRow(born, dead relalg.CSN, row tuple.Tuple) []byte {
 	return tuple.EncodeRow(out, row)
 }
 
-func decodeVersionedRow(v []byte) (born, dead relalg.CSN, row tuple.Tuple) {
+// decodeVersionHeader splits a heap value into its version header and the
+// still-encoded row payload, without materializing the tuple.
+func decodeVersionHeader(v []byte) (born, dead relalg.CSN, enc []byte) {
 	if len(v) < 16 {
 		panic("engine: corrupt heap row: short version header")
 	}
 	born = relalg.CSN(binary.BigEndian.Uint64(v[0:8]))
 	dead = relalg.CSN(binary.BigEndian.Uint64(v[8:16]))
-	row, _, err := tuple.DecodeRow(v[16:])
+	return born, dead, v[16:]
+}
+
+func decodeVersionedRow(v []byte) (born, dead relalg.CSN, row tuple.Tuple) {
+	born, dead, enc := decodeVersionHeader(v)
+	row, _, err := tuple.DecodeRow(enc)
 	if err != nil {
 		panic("engine: corrupt heap row: " + err.Error())
 	}
@@ -151,7 +160,8 @@ func (t *Table) putAt(rowid uint64, row tuple.Tuple) {
 
 // remove physically deletes the row at rowid, returning it (nil if
 // absent). Used to undo an aborted insert and by recovery; committed
-// deletes go through markDead/stampDead instead.
+// deletes go through markDead/stampDead instead. A queue entry for a
+// removed committed-dead version goes stale and GC drops it.
 func (t *Table) remove(rowid uint64) tuple.Tuple {
 	t.latch.Lock()
 	defer t.latch.Unlock()
@@ -170,18 +180,12 @@ func (t *Table) remove(rowid uint64) tuple.Tuple {
 	return row
 }
 
-// setVersion rewrites the version header of rowid in place.
-func (t *Table) setVersion(rowid uint64, born, dead relalg.CSN) {
-	k := rowKey(rowid)
-	v, ok := t.heap.Get(k)
-	if !ok {
-		return
-	}
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(born))
-	binary.BigEndian.PutUint64(hdr[8:16], uint64(dead))
+// setVersion replaces the heap value v stored at k with a copy carrying a
+// new version header. The caller holds the latch exclusively.
+func (t *Table) setVersion(k, v []byte, born, dead relalg.CSN) {
 	nv := make([]byte, len(v))
-	copy(nv, hdr[:])
+	binary.BigEndian.PutUint64(nv[0:8], uint64(born))
+	binary.BigEndian.PutUint64(nv[8:16], uint64(dead))
 	copy(nv[16:], v[16:])
 	t.heap.Put(k, nv)
 }
@@ -191,36 +195,33 @@ func (t *Table) setVersion(rowid uint64, born, dead relalg.CSN) {
 func (t *Table) stampBorn(rowid uint64, csn relalg.CSN) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heap.Get(rowKey(rowid))
-	if !ok {
-		return
+	k := rowKey(rowid)
+	if v, ok := t.heap.Get(k); ok {
+		_, dead, _ := decodeVersionHeader(v)
+		t.setVersion(k, v, csn, dead)
 	}
-	_, dead, _ := decodeVersionedRow(v)
-	t.setVersion(rowid, csn, dead)
 }
 
 // markDead flags the row as being deleted by an in-flight transaction.
 func (t *Table) markDead(rowid uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heap.Get(rowKey(rowid))
-	if !ok {
-		return
+	k := rowKey(rowid)
+	if v, ok := t.heap.Get(k); ok {
+		born, _, _ := decodeVersionHeader(v)
+		t.setVersion(k, v, born, csnDeadPending)
 	}
-	born, _, _ := decodeVersionedRow(v)
-	t.setVersion(rowid, born, csnDeadPending)
 }
 
 // clearDead undoes markDead (delete aborted).
 func (t *Table) clearDead(rowid uint64) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heap.Get(rowKey(rowid))
-	if !ok {
-		return
+	k := rowKey(rowid)
+	if v, ok := t.heap.Get(k); ok {
+		born, _, _ := decodeVersionHeader(v)
+		t.setVersion(k, v, born, csnNone)
 	}
-	born, _, _ := decodeVersionedRow(v)
-	t.setVersion(rowid, born, csnNone)
 }
 
 // stampDead publishes a delete: the row's dead CSN becomes the deleter's
@@ -228,40 +229,77 @@ func (t *Table) clearDead(rowid uint64) {
 func (t *Table) stampDead(rowid uint64, csn relalg.CSN) {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	v, ok := t.heap.Get(rowKey(rowid))
-	if !ok {
-		return
+	k := rowKey(rowid)
+	if v, ok := t.heap.Get(k); ok {
+		born, _, _ := decodeVersionHeader(v)
+		t.setVersion(k, v, born, csn)
+		t.noteDead(rowid, csn)
 	}
-	born, _, _ := decodeVersionedRow(v)
-	t.setVersion(rowid, born, csn)
+}
+
+// noteDead counts a version that just became committed-dead at csn and
+// queues it for GC. The caller holds the latch exclusively.
+func (t *Table) noteDead(rowid uint64, csn relalg.CSN) {
 	t.dead++
+	heap.Push(&t.deadQ, deadVersion{csn: csn, rowid: rowid})
 }
 
 // gcVersions physically removes committed-dead versions with dead <=
 // through, returning how many were collected. Callers must ensure no
 // snapshot at or below through is still active.
+//
+// The cost is O(entries popped), not O(heap): the dead-version queue
+// yields exactly the candidates in dead-CSN order. An entry is collected
+// only if its row is still present and still died at the entry's CSN;
+// entries left stale by remove or putAt are dropped.
 func (t *Table) gcVersions(through relalg.CSN) int64 {
 	t.latch.Lock()
 	defer t.latch.Unlock()
-	type doomed struct {
-		key []byte
-		row tuple.Tuple
-	}
-	var dead []doomed
-	for it := t.heap.First(); it.Valid(); it.Next() {
-		_, d, row := decodeVersionedRow(it.Value())
-		if d != csnNone && d != csnDeadPending && d <= through {
-			dead = append(dead, doomed{append([]byte(nil), it.Key()...), row})
+	var n int64
+	for len(t.deadQ) > 0 && t.deadQ[0].csn <= through {
+		e := heap.Pop(&t.deadQ).(deadVersion)
+		k := rowKey(e.rowid)
+		v, ok := t.heap.Get(k)
+		if !ok {
+			continue
 		}
-	}
-	for _, d := range dead {
-		t.heap.Delete(d.key)
-		for _, ix := range t.indexes {
-			ix.remove(d.row[ix.column], rowidFromKey(d.key))
+		if _, dead, _ := decodeVersionHeader(v); dead != e.csn {
+			continue
 		}
+		if len(t.indexes) > 0 {
+			_, _, row := decodeVersionedRow(v)
+			for _, ix := range t.indexes {
+				ix.remove(row[ix.column], e.rowid)
+			}
+		}
+		t.heap.Delete(k)
+		n++
 	}
-	t.dead -= int64(len(dead))
-	return int64(len(dead))
+	t.dead -= n
+	return n
+}
+
+// deadVersion is one dead-version queue entry: the row at rowid was
+// stamped dead at csn.
+type deadVersion struct {
+	csn   relalg.CSN
+	rowid uint64
+}
+
+// deadQueue is a container/heap min-heap of dead versions keyed by dead
+// CSN. Commits publish outside the commit mutex, so stamps arrive out of
+// CSN order; the heap hands GC the lowest CSN first regardless.
+type deadQueue []deadVersion
+
+func (q deadQueue) Len() int           { return len(q) }
+func (q deadQueue) Less(i, j int) bool { return q[i].csn < q[j].csn }
+func (q deadQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *deadQueue) Push(x any)        { *q = append(*q, x.(deadVersion)) }
+func (q *deadQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
 }
 
 // getVersion returns the row at rowid with its version interval, or ok =

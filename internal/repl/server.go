@@ -220,7 +220,8 @@ func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if req.AsOf == 0 && req.Time == "" {
+	latest := req.AsOf == 0 && req.Time == ""
+	if latest {
 		asOf = v.HWM()
 	}
 	if req.Wait {
@@ -230,6 +231,13 @@ func (s *Server) handleMaterialize(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rows, err := v.MaterializeAt(asOf)
+	// Between reading the HWM and reading the image, apply can move the
+	// view's MatTime past it and a fold can prune the delta up to there.
+	// A read of the latest state then answers from a newer HWM.
+	for latest && errors.Is(err, engine.ErrDerivedPruned) && r.Context().Err() == nil {
+		asOf = v.HWM()
+		rows, err = v.MaterializeAt(asOf)
+	}
 	if err != nil {
 		writeErr(w, err)
 		return

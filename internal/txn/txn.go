@@ -254,6 +254,21 @@ func (m *Manager) Recover(last relalg.CSN) {
 	m.commitMu.Unlock()
 }
 
+// RecoverTxID fast-forwards the transaction-id counter to at least id, the
+// highest id replayed from the log, so post-recovery transactions never
+// reuse the id of one whose frames are still in the log. Recovery and log
+// capture group frames by id: a reused id would attribute the frames of a
+// transaction cut off before its commit record to the later commit. It
+// never moves the counter backwards.
+func (m *Manager) RecoverTxID(id uint64) {
+	for {
+		cur := m.nextTxID.Load()
+		if cur >= id || m.nextTxID.CompareAndSwap(cur, id) {
+			return
+		}
+	}
+}
+
 // Stats is a snapshot of lock and transaction counters.
 type Stats struct {
 	Begun, Committed, Aborted int64
