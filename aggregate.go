@@ -218,7 +218,7 @@ func (db *DB) DefineAggregate(spec AggSpec, opt Maintain) (*AggregateView, error
 	if opt.AutoRefresh {
 		av.apply = db.sched.Register("apply:"+spec.Name, applyStep(av.applier), sched.Options{
 			Classify:   classifyMaintenance,
-			OnProgress: av.prop.Kick,
+			OnProgress: av.applied,
 		})
 	}
 
@@ -295,14 +295,14 @@ func (av *AggregateView) Relation() *relalg.Relation { return image(av.derived) 
 // Refresh rolls the materialized groups to the current high-water mark.
 func (av *AggregateView) Refresh() (CSN, error) {
 	t, err := av.applier.RollToHWM()
-	av.prop.Kick()
+	av.applied()
 	return t, err
 }
 
 // RefreshTo performs point-in-time refresh to exactly the given CSN.
 func (av *AggregateView) RefreshTo(t CSN) error {
 	err := av.applier.RollTo(t)
-	av.prop.Kick()
+	av.applied()
 	return err
 }
 

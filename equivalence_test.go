@@ -175,11 +175,13 @@ func equivalentConfigurations(t *testing.T, seed int64) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	// Defining the cascade catches ab up, which commits, so the views may
-	// start at different CSNs; compare from the latest start.
-	var start CSN
-	for _, v := range views {
-		start = max(start, v.MatTime())
+	// Only client commits mint CSNs, so defining the cascade (which
+	// catches ab up) leaves every view starting at the same CSN.
+	start := ab.MatTime()
+	for _, n := range names {
+		if got := views[n].MatTime(); got != start {
+			t.Fatalf("view %s starts at CSN %d, ab at %d", n, got, start)
+		}
 	}
 
 	for c := 0; c < 200; c++ {

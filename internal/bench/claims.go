@@ -234,11 +234,9 @@ func E3(s Scale) (*metrics.Table, error) {
 
 	// Phase 2: propagate the whole burst afterwards. Every query runs
 	// wall-clock after the burst (the callback is only installed here), and
-	// reads historical state: executed time at or before t_new. Exception:
-	// propagation's own commits advance capture progress past t_new, so the
-	// final ledger cell can straddle t_new and its queries (at most one
-	// cell's worth) execute at a CSN just past it — their windows still only
-	// contain burst changes.
+	// reads historical state: executed time at or before t_new. Only client
+	// commits mint CSNs, so capture progress stops at t_new and no ledger
+	// cell can straddle it.
 	histQueries, totalQueries := 0, 0
 	env.Exec.OnQuery = func(e core.TraceEntry) {
 		totalQueries++
@@ -274,11 +272,9 @@ func E3(s Scale) (*metrics.Table, error) {
 	t.AddRow("propagation queries", totalQueries)
 	t.AddRow("queries reading state at/before t_new", fmt.Sprintf("%d (%.0f%%)", histQueries, 100*float64(histQueries)/float64(max(totalQueries, 1))))
 	t.AddRow("rolled view == recompute", pass(match))
-	// Allow only the straddling cell: one forward query per relation plus
-	// its compensations, 2n−1 queries for the n-way view.
-	if slack := 2*2 - 1; totalQueries-histQueries > slack {
-		return t, fmt.Errorf("E3: %d of %d queries read state past t_new (max %d allowed for the straddling cell)",
-			totalQueries-histQueries, totalQueries, slack)
+	if histQueries != totalQueries {
+		return t, fmt.Errorf("E3: %d of %d queries read state past t_new",
+			totalQueries-histQueries, totalQueries)
 	}
 	if !match {
 		return t, fmt.Errorf("E3: deferred propagation diverged")

@@ -65,9 +65,9 @@ func (c *TriggerCapture) Progress() relalg.CSN {
 }
 
 // WaitProgress implements Source. Trigger capture is synchronous, so this
-// only waits for the CSN to be assigned at all. Read-only commits advance
-// the CSN without passing through the sink, so the wait polls the combined
-// watermark rather than blocking on sink notifications alone.
+// only waits for the CSN to be assigned at all. A commit with no recorded
+// writes skips the sink, so the wait polls the combined watermark rather
+// than blocking on sink notifications alone.
 func (c *TriggerCapture) WaitProgress(csn relalg.CSN) error {
 	return c.WaitProgressContext(context.Background(), csn)
 }

@@ -205,18 +205,46 @@ func TestWALRecordsWritten(t *testing.T) {
 	}
 }
 
-func TestReadOnlyCommitStillLogsCommitRecord(t *testing.T) {
+func TestReadOnlyCommitAppendsNothing(t *testing.T) {
 	db := testDB(t)
 	db.CreateTable("orders", ordersSchema())
+	w := db.Begin()
+	w.Insert("orders", tuple.Tuple{tuple.Int(1), tuple.String_("ball")})
+	if csn, err := w.Commit(); err != nil || csn != 1 {
+		t.Fatalf("writer commit: csn %d, %v", csn, err)
+	}
+	size := db.Log().Size()
+
 	tx := db.Begin()
-	tx.Scan("orders", nil)
-	csn, err := tx.Commit()
-	if err != nil || csn != 1 {
+	if _, err := tx.Scan("orders", nil); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := db.Log().NewReader(0).Next()
-	if err != nil || rec.Type != wal.TypeCommit || rec.CSN != 1 {
-		t.Fatalf("read-only commit must log a commit record: %+v %v", rec, err)
+	csn, err := tx.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A read-only commit returns the newest assigned CSN, mints none and
+	// appends nothing to the log.
+	if csn != 1 || db.LastCSN() != 1 {
+		t.Fatalf("read-only commit: csn %d, LastCSN %d, want 1 and 1", csn, db.LastCSN())
+	}
+	if got := db.Log().Size(); got != size {
+		t.Fatalf("read-only commit grew the log from %d to %d bytes", size, got)
+	}
+	// Its table S lock is released: a writer takes IX without waiting.
+	w = db.Begin()
+	done := make(chan error, 1)
+	go func() { done <- w.Insert("orders", tuple.Tuple{tuple.Int(2), tuple.String_("bat")}) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("writer blocked behind a committed read-only transaction's lock")
+	}
+	if csn, err := w.Commit(); err != nil || csn != 2 {
+		t.Fatalf("next writer commit: csn %d, %v", csn, err)
 	}
 }
 
@@ -395,16 +423,24 @@ func TestExecutePropagation(t *testing.T) {
 	db.CreateDelta("r1")
 	d, _ := db.Delta("r1")
 	dest, _ := db.CreateStandaloneDelta("dV", tuple.NewSchema(tuple.Column{Name: "a", Kind: tuple.KindInt}))
-	d.Append(1, 1, tuple.Tuple{tuple.Int(10)})
-	d.Append(2, 1, tuple.Tuple{tuple.Int(20)})
+	for i := 1; i <= 2; i++ {
+		tx := db.Begin()
+		tx.Insert("r1", tuple.Tuple{tuple.Int(int64(10 * i))})
+		csn, _ := tx.Commit()
+		d.Append(csn, 1, tuple.Tuple{tuple.Int(int64(10 * i))})
+	}
+	size := db.Log().Size()
 
-	q := &Query{Inputs: []Input{{Kind: InputDelta, Table: "r1", Lo: 0, Hi: 2}}}
-	csn, n, _, err := db.ExecutePropagation(q, -1, dest)
+	q := &Query{Inputs: []Input{{Kind: InputDelta, Table: "r1", Lo: 0, Hi: 2}}, AsOf: 2}
+	te, n, _, err := db.ExecutePropagation(q, -1, dest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 || csn == 0 {
-		t.Fatalf("n=%d csn=%d", n, csn)
+	if n != 2 || te != 2 {
+		t.Fatalf("n=%d t_e=%d, want 2 and the AsOf time 2", n, te)
+	}
+	if db.LastCSN() != 2 || db.Log().Size() != size {
+		t.Fatalf("propagation minted a CSN or logged: LastCSN %d, log %d -> %d bytes", db.LastCSN(), size, db.Log().Size())
 	}
 	all := dest.All()
 	if all.Len() != 2 || all.Rows[0].Count != -1 {
@@ -414,6 +450,14 @@ func TestExecutePropagation(t *testing.T) {
 	if all.Rows[0].TS != 1 || all.Rows[1].TS != 2 {
 		t.Fatal("dest timestamps")
 	}
+
+	q.AsOf = relalg.NullTS
+	if _, _, _, err := db.ExecutePropagation(q, 1, dest); !errors.Is(err, ErrNoAsOf) {
+		t.Fatalf("propagation without AsOf: %v, want ErrNoAsOf", err)
+	}
+	if dest.Len() != 2 {
+		t.Fatal("rejected propagation must not append")
+	}
 }
 
 func TestExecutePropagationRejectsNullTS(t *testing.T) {
@@ -422,8 +466,8 @@ func TestExecutePropagationRejectsNullTS(t *testing.T) {
 	dest, _ := db.CreateStandaloneDelta("dV", tuple.NewSchema(tuple.Column{Name: "a", Kind: tuple.KindInt}))
 	tx := db.Begin()
 	tx.Insert("r1", tuple.Tuple{tuple.Int(1)})
-	tx.Commit()
-	q := &Query{Inputs: []Input{{Kind: InputBase, Table: "r1"}}}
+	csn, _ := tx.Commit()
+	q := &Query{Inputs: []Input{{Kind: InputBase, Table: "r1"}}, AsOf: csn}
 	if _, _, _, err := db.ExecutePropagation(q, 1, dest); err == nil {
 		t.Fatal("all-base propagation must be rejected (null timestamps)")
 	}

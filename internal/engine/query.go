@@ -498,15 +498,20 @@ func (db *DB) concatSchema(q *Query) (*tuple.Schema, error) {
 	return cs, nil
 }
 
+// ErrNoAsOf marks a propagation query submitted without an AsOf time.
+var ErrNoAsOf = errors.New("engine: propagation query needs an AsOf time")
+
 // ExecutePropagation runs q as its own transaction, streaming the result
 // into the destination delta table: each batch's counts are multiplied by
 // sign and appended, and the transaction commits. It returns the query
-// execution time t_e and the number of rows and batches appended. For a
-// current-state query t_e is the commit CSN (the bases were read under S
-// locks, i.e. at the committed state the commit point sees); for an AsOf
-// query t_e is q.AsOf — executed time equals intended time by
-// construction. This is the Execute primitive of Figures 4 and 10.
+// execution time t_e and the number of rows and batches appended. q must
+// read as of a CSN (q.AsOf), so t_e is q.AsOf: executed time equals
+// intended time by construction. This is the Execute primitive of Figures
+// 4 and 10.
 func (db *DB) ExecutePropagation(q *Query, sign int64, dest *DeltaTable) (relalg.CSN, int, int, error) {
+	if q.AsOf == relalg.NullTS {
+		return 0, 0, 0, ErrNoAsOf
+	}
 	tx := db.Begin()
 	// Columnar egress: serialize each result row straight from the batch's
 	// columns into the delta table's row encoding; no tuples materialize
@@ -529,13 +534,9 @@ func (db *DB) ExecutePropagation(q *Query, sign int64, dest *DeltaTable) (relalg
 		tx.Abort()
 		return 0, 0, 0, err
 	}
-	csn, err := tx.Commit()
-	if err != nil {
+	if _, err := tx.Commit(); err != nil {
 		tx.Abort()
 		return 0, 0, 0, err
 	}
-	if q.AsOf != relalg.NullTS {
-		return q.AsOf, int(rows), int(batches), nil
-	}
-	return csn, int(rows), int(batches), nil
+	return q.AsOf, int(rows), int(batches), nil
 }

@@ -202,15 +202,12 @@ func (tx *Tx) AppendDeltaEncoded(d *DeltaTable, ts relalg.CSN, count int64, encR
 // the log order, CSN order, and trigger-capture order all match the
 // serialization order. The publish phase then stamps row versions with
 // the commit CSN before the CSN becomes stable and the locks release.
+//
+// A transaction that wrote no log record (always so on a replica) commits
+// quietly: no CSN, no log append or sync; it returns the newest CSN.
 func (tx *Tx) Commit() (relalg.CSN, error) {
-	if tx.db.replica {
-		// Quiet commit: keep the transaction's effects (delta appends) and
-		// release its locks, but mint no CSN and write no WAL record — a
-		// follower's time axis is the leader's CSN sequence, and its log
-		// holds only shipped leader bytes. Base writes are already
-		// impossible here (Insert/DeleteWhere gate on ErrReadOnly), so there
-		// are no stamps to publish.
-		return 0, tx.db.tm.CommitQuiet(tx.inner)
+	if !tx.logged && len(tx.stamps) == 0 && len(tx.writes) == 0 {
+		return tx.db.tm.CommitQuiet(tx.inner)
 	}
 	var publish func(relalg.CSN)
 	if len(tx.stamps) > 0 {

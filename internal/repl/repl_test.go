@@ -469,9 +469,12 @@ func TestTailerDivergenceFailStop(t *testing.T) {
 		t.Fatalf("tailer A: %v", err)
 	}
 	srvA.Close()
-	// Leader A's propagation kept minting CSNs past the snapshot; the
-	// prefix the follower actually holds is whatever replay reached.
+	// Only client commits mint CSNs, so the follower holds exactly leader
+	// A's history.
 	applied := follower.AppliedCSN()
+	if applied != target {
+		t.Fatalf("follower applied CSN %d, leader A's last %d", applied, target)
+	}
 
 	// ...then point it at a fresh leader with a shorter history. The
 	// follower holds bytes leader B never wrote: must fail-stop, not splice.

@@ -191,23 +191,24 @@ func (m *Manager) WaitStable(csn relalg.CSN) {
 	m.publishMu.Unlock()
 }
 
-// CommitQuiet finishes the transaction keeping its effects but WITHOUT
-// assigning a CSN, running a commit hook, or touching the publish barrier.
-// Replica engines use it for local view-maintenance commits: a follower's
-// time axis is the leader's CSN sequence replayed from the shipped log, so
-// follower-side propagation must not mint CSNs of its own — doing so would
-// desynchronize the replica's clock from the leader's. The transaction's
-// effects (delta-table appends) stand; undo actions are discarded and
-// locks release as on a normal commit.
-func (m *Manager) CommitQuiet(t *Txn) error {
+// CommitQuiet finishes a transaction that wrote nothing to the log: its
+// effects (delta-table appends) stand and its locks release, but it mints
+// no CSN, runs no hook and never enters commitMu or the publish barrier.
+// It returns the newest CSN already assigned, read under publishMu, not
+// commitMu, which a committer holds across its log fsync.
+func (m *Manager) CommitQuiet(t *Txn) (relalg.CSN, error) {
 	if t.state != StateActive {
-		return ErrTxnDone
+		return 0, ErrTxnDone
 	}
+	m.publishMu.Lock()
+	csn := m.assigned
+	m.publishMu.Unlock()
 	t.state = StateCommitted
+	t.csn = csn
 	t.undo = nil
 	m.lm.release(t)
 	m.committed.Add(1)
-	return nil
+	return csn, nil
 }
 
 // Abort rolls the transaction back: undo actions run in reverse order, then

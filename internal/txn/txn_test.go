@@ -259,6 +259,61 @@ func TestCommitHookErrorLeavesTxnActive(t *testing.T) {
 	}
 }
 
+// TestCommitQuietSkipsCommitPoint checks that a quiet commit neither mints
+// a CSN nor waits for commitMu: it completes while another committer's
+// hook (the log append and fsync) is blocked, returns the newest assigned
+// CSN, and releases its locks.
+func TestCommitQuietSkipsCommitPoint(t *testing.T) {
+	m := NewManager()
+	if _, err := m.Commit(m.Begin(), nil); err != nil {
+		t.Fatal(err)
+	}
+	inHook, release := make(chan struct{}), make(chan struct{})
+	writer := m.Begin()
+	done := make(chan relalg.CSN, 1)
+	go func() {
+		csn, _ := m.Commit(writer, func(relalg.CSN, time.Time) error {
+			close(inHook)
+			<-release
+			return nil
+		})
+		done <- csn
+	}()
+	<-inHook
+
+	reader := m.Begin()
+	if err := reader.Lock("r", LockS); err != nil {
+		t.Fatal(err)
+	}
+	reader.OnAbort(func() { t.Error("quiet commit ran an undo action") })
+	quiet := make(chan relalg.CSN, 1)
+	go func() {
+		csn, err := m.CommitQuiet(reader)
+		if err != nil {
+			t.Error(err)
+		}
+		quiet <- csn
+	}()
+	select {
+	case csn := <-quiet:
+		if csn != 1 {
+			t.Fatalf("quiet commit returned %d, want the newest assigned CSN 1", csn)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("quiet commit waited for the commit mutex")
+	}
+	close(release)
+	if csn := <-done; csn != 2 {
+		t.Fatalf("writer CSN %d, want 2: the quiet commit must not mint one", csn)
+	}
+	if reader.State() != StateCommitted || reader.HeldMode("r") != LockNone {
+		t.Fatalf("quiet commit: state %d, lock %s", reader.State(), reader.HeldMode("r"))
+	}
+	if _, err := m.CommitQuiet(reader); !errors.Is(err, ErrTxnDone) {
+		t.Fatal(err)
+	}
+}
+
 func TestAbortRunsUndoInReverse(t *testing.T) {
 	m := NewManager()
 	tx := m.Begin()

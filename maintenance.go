@@ -55,17 +55,26 @@ type maintained struct {
 }
 
 // notifyDeps chains downstream jobs on propagation progress: the apply
-// job (new delta rows to fold in) and any summary auto-refreshers.
+// job (new delta rows to fold in), any summary auto-refreshers, and the
+// fold job, whose floor follows the HWM.
 func (m *maintained) notifyDeps() {
 	if m.apply != nil {
 		m.apply.Kick()
 	}
+	m.db.kickFold()
 	m.depMu.Lock()
 	deps := m.deps
 	m.depMu.Unlock()
 	for _, d := range deps {
 		d.Kick()
 	}
+}
+
+// applied runs after the image rolls forward: it un-parks propagation
+// and wakes the fold job, since only client commits notify capture.
+func (m *maintained) applied() {
+	m.prop.Kick()
+	m.db.kickFold()
 }
 
 // addDep registers a dependent job to kick on propagation progress.

@@ -149,8 +149,10 @@ func TestFailoverLeaderCrash(t *testing.T) {
 		return follower.AppliedCSN() > 0
 	})
 
-	// Crash: capture the device image a reopen would observe, then tear the
-	// serving stack down abruptly under the still-running tailer.
+	// Crash: freeze the device so nothing lands after the crash point,
+	// capture the image a reopen would observe, then tear the serving
+	// stack down abruptly under the still-running tailer.
+	fdev.Freeze()
 	img, err := fdev.CrashImage(-1)
 	if err != nil {
 		t.Fatalf("crash image: %v", err)

@@ -721,7 +721,7 @@ func (db *DB) DefineView(spec ViewSpec, opt Maintain) (*View, error) {
 	if opt.AutoRefresh {
 		v.apply = db.sched.Register("apply:"+def.Name, applyStep(v.applier), sched.Options{
 			Classify:   classifyMaintenance,
-			OnProgress: v.prop.Kick, // applying shrank the backlog
+			OnProgress: v.applied,
 		})
 	}
 

@@ -39,6 +39,13 @@ func (db *DB) Fold() error {
 	return err
 }
 
+// kickFold wakes the background fold job, if folding is enabled.
+func (db *DB) kickFold() {
+	if db.fold != nil {
+		db.fold.Kick()
+	}
+}
+
 // foldStep is the fold job's step function. One pass:
 //
 //  1. Compute the fold floor from the engine's horizon ledger — the

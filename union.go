@@ -80,7 +80,7 @@ func (db *DB) DefineUnionView(name string, branches []ViewSpec, opt Maintain) (*
 	if opt.AutoRefresh {
 		uv.apply = db.sched.Register("apply:"+name, applyStep(uv.applier), sched.Options{
 			Classify:   classifyMaintenance,
-			OnProgress: uv.prop.Kick,
+			OnProgress: uv.applied,
 		})
 	}
 	db.mu.Lock()
@@ -110,14 +110,14 @@ func (uv *UnionView) Rows() []Tuple { return expand(image(uv.derived)) }
 // Refresh rolls the union view to its high-water mark.
 func (uv *UnionView) Refresh() (CSN, error) {
 	t, err := uv.applier.RollToHWM()
-	uv.prop.Kick()
+	uv.applied()
 	return t, err
 }
 
 // RefreshTo rolls the union view to an exact commit.
 func (uv *UnionView) RefreshTo(t CSN) error {
 	err := uv.applier.RollTo(t)
-	uv.prop.Kick()
+	uv.applied()
 	return err
 }
 

@@ -123,7 +123,7 @@ func (v *View) Relation() *relalg.Relation { return image(v.derived) }
 // returns the CSN reached.
 func (v *View) Refresh() (CSN, error) {
 	t, err := v.applier.RollToHWM()
-	v.prop.Kick() // applying shrinks the backlog; un-park propagation
+	v.applied()
 	return t, err
 }
 
@@ -132,7 +132,7 @@ func (v *View) Refresh() (CSN, error) {
 // and the high-water mark.
 func (v *View) RefreshTo(t CSN) error {
 	err := v.applier.RollTo(t)
-	v.prop.Kick()
+	v.applied()
 	return err
 }
 
