@@ -3,15 +3,12 @@ package rollingjoin
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/relalg"
-	"repro/internal/sched"
 )
 
 // AggFunc identifies an aggregate function.
@@ -57,12 +54,7 @@ type AggSpec struct {
 type AggregateView struct {
 	maintained
 
-	def     *core.AggregateDef
-	source  string
-	agg     *core.AggView
-	dest    *engine.DeltaTable
-	derived *engine.Derived // the one stored state, as for View
-	applier *core.Applier
+	agg *core.AggView
 }
 
 // DefineAggregate materializes the aggregate, wires its propagation and
@@ -71,7 +63,6 @@ type AggregateView struct {
 // an aggregate's step always folds the source delta up to the source's
 // current completeness bound.
 func (db *DB) DefineAggregate(spec AggSpec, opt Maintain) (*AggregateView, error) {
-	db.ensureCapture()
 	if spec.Name == "" {
 		return nil, errors.New("rollingjoin: aggregate needs a name")
 	}
@@ -85,7 +76,8 @@ func (db *DB) DefineAggregate(spec AggSpec, opt Maintain) (*AggregateView, error
 	if err != nil {
 		return nil, fmt.Errorf("rollingjoin: aggregate %q: %w", spec.Name, err)
 	}
-	if !db.eng.HasDelta(spec.Source) {
+	upDelta, err := db.eng.Delta(spec.Source)
+	if err != nil {
 		return nil, fmt.Errorf("rollingjoin: aggregate %q: relation %q has no delta table", spec.Name, spec.Source)
 	}
 
@@ -126,222 +118,40 @@ func (db *DB) DefineAggregate(spec AggSpec, opt Maintain) (*AggregateView, error
 		return nil, err
 	}
 
-	ups, upNames := db.upstreamsOf([]string{spec.Source})
-
-	// The cascade contract, same as DefineView: the aggregate's delta
-	// stream registers under its own name.
-	dest, err := db.eng.CreateStandaloneDelta(spec.Name, out)
-	if err != nil {
-		return nil, err
-	}
-	cleanup := func() {
-		db.eng.UnregisterDerived(spec.Name)
-		db.eng.DropStandaloneDelta(spec.Name)
-	}
-
-	src := db.src
-	if len(ups) > 0 {
-		vs := &capture.ViewSource{Base: db.src}
-		for i, u := range ups {
-			vs.Ups = append(vs.Ups, capture.Upstream{Name: upNames[i], HWM: u.hwm, CatchUp: u.CatchUpContext})
+	av := &AggregateView{}
+	av.maintained = maintained{name: spec.Name, inputs: []string{spec.Source}, handle: av}
+	err = db.define(&av.maintained, out, opt, func(dest *engine.DeltaTable, src capture.Source, asOf CSN) (func() error, func() CSN, *relalg.Relation, error) {
+		// Seed the group state from the source's contents at asOf. The
+		// source's completeness bound is capture progress for a base
+		// table, min(capture, upstream HWM) — i.e. the upstream HWM — for
+		// a maintained relation.
+		srcRel, err := core.MaterializeAt(db.eng, &core.ViewDef{Name: spec.Name, Relations: []string{spec.Source}}, asOf)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		src = vs
-	}
-	// The source's completeness bound: capture progress for a base table,
-	// min(capture, upstream HWM) — i.e. the upstream HWM — for a view.
-	upHWM := src.Progress
-
-	// Initial state: pick one stable instant, bring the upstream up to
-	// it, scan the source there, and seed the group state.
-	snap, err := db.eng.OpenSnapshot(relalg.NullTS)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	asOf := snap.AsOf()
-	snap.Close()
-	for _, u := range ups {
-		if err := u.CatchUp(asOf); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	srcDef := &core.ViewDef{Name: spec.Name, Relations: []string{spec.Source}}
-	q := core.AllBase(srcDef).EngineQuery()
-	q.AsOf = asOf
-	tx := db.eng.Begin()
-	srcRel, err := tx.EvalQuery(q)
-	if err != nil {
-		tx.Abort()
-		cleanup()
-		return nil, err
-	}
-	if _, err := tx.Commit(); err != nil {
-		cleanup()
-		return nil, err
-	}
-
-	upDelta, err := db.eng.Delta(spec.Source)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	agg := core.NewAggView(def, srcSchema, out, upDelta, upHWM, dest)
-	initRel, err := agg.Seed(srcRel, asOf)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	dv, err := db.eng.RegisterDerived(dest, agg.HWM)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	if err := dv.SetImage(initRel, asOf); err != nil {
-		cleanup()
-		return nil, err
-	}
-	av := &AggregateView{def: def, source: spec.Source, agg: agg, dest: dest, derived: dv}
-	av.applier = core.NewApplier(dv)
-	av.maintained = maintained{db: db, hwm: agg.HWM, src: src, ups: ups}
-
-	av.prop = db.sched.Register("prop:"+spec.Name, agg.Step, sched.Options{
-		HWM:      agg.HWM,
-		Classify: classifyMaintenance,
-		Backlog: func(limit int) int {
-			return dest.PendingAfter(dv.MatTime(), limit)
-		},
-		MaxBacklog:   opt.MaxBacklog,
-		OnProgress:   av.notifyDeps,
-		WakeOnNotify: true,
+		av.agg = core.NewAggView(def, srcSchema, out, upDelta, src.Progress, dest)
+		rel, err := av.agg.Seed(srcRel, asOf)
+		return av.agg.Step, av.agg.HWM, rel, err
 	})
-	if opt.AutoRefresh {
-		av.apply = db.sched.Register("apply:"+spec.Name, applyStep(av.applier), sched.Options{
-			Classify:   classifyMaintenance,
-			OnProgress: av.applied,
-		})
-	}
-
-	db.mu.Lock()
-	if _, dup := db.aggs[spec.Name]; dup {
-		db.mu.Unlock()
-		av.unregisterJobs()
-		cleanup()
-		return nil, fmt.Errorf("rollingjoin: aggregate %q already defined", spec.Name)
-	}
-	db.aggs[spec.Name] = av
-	for _, un := range upNames {
-		if db.downs[un] == nil {
-			db.downs[un] = make(map[string]bool)
-		}
-		db.downs[un][spec.Name] = true
-	}
-	db.mu.Unlock()
-
-	for _, u := range ups {
-		u.addDep(av.prop)
-	}
-
-	if !opt.Manual {
-		av.StartPropagation()
+	if err != nil {
+		return nil, err
 	}
 	return av, nil
 }
 
 // Aggregate returns a previously defined aggregate view.
 func (db *DB) Aggregate(name string) (*AggregateView, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	a, ok := db.aggs[name]
-	return a, ok
+	return lookup[*AggregateView](db, name)
 }
-
-// AggregateNames returns the defined aggregate views, sorted.
-func (db *DB) AggregateNames() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.aggs))
-	for n := range db.aggs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Name returns the aggregate's name.
-func (av *AggregateView) Name() string { return av.def.Name }
 
 // Source returns the relation the aggregate summarizes.
-func (av *AggregateView) Source() string { return av.source }
-
-// HWM returns the aggregate delta high-water mark.
-func (av *AggregateView) HWM() CSN { return av.hwm() }
-
-// MatTime returns the CSN the materialized groups currently reflect.
-func (av *AggregateView) MatTime() CSN { return av.derived.MatTime() }
-
-// Rows returns the materialized group rows sorted by group key.
-func (av *AggregateView) Rows() []Tuple { return expand(image(av.derived)) }
+func (av *AggregateView) Source() string { return av.inputs[0] }
 
 // Columns returns the output column names.
 func (av *AggregateView) Columns() []string { return av.derived.Schema().Names() }
 
 // Groups returns the number of materialized groups.
 func (av *AggregateView) Groups() int { return image(av.derived).Len() }
-
-// Relation exposes the materialized groups for experiments.
-func (av *AggregateView) Relation() *relalg.Relation { return image(av.derived) }
-
-// Refresh rolls the materialized groups to the current high-water mark.
-func (av *AggregateView) Refresh() (CSN, error) {
-	t, err := av.applier.RollToHWM()
-	av.applied()
-	return t, err
-}
-
-// RefreshTo performs point-in-time refresh to exactly the given CSN.
-func (av *AggregateView) RefreshTo(t CSN) error {
-	err := av.applier.RollTo(t)
-	av.applied()
-	return err
-}
-
-// RefreshToTime rolls the aggregate to the last commit at or before the
-// given wall-clock instant.
-func (av *AggregateView) RefreshToTime(t time.Time) (CSN, error) {
-	csn, err := av.db.CSNAt(t)
-	if err != nil {
-		return 0, err
-	}
-	if csn < av.MatTime() {
-		return 0, core.ErrBackward
-	}
-	return csn, av.RefreshTo(csn)
-}
-
-// StartAutoRefresh starts the scheduled apply job (AutoRefresh
-// aggregates only; no-op otherwise). Idempotent.
-func (av *AggregateView) StartAutoRefresh() {
-	if av.apply != nil {
-		av.apply.Start()
-	}
-}
-
-// StopAutoRefresh suspends the scheduled apply job, draining any
-// in-flight roll. Idempotent.
-func (av *AggregateView) StopAutoRefresh() error {
-	if av.apply != nil {
-		return av.apply.Stop()
-	}
-	return nil
-}
-
-// PruneApplied discards aggregate delta rows that can no longer be
-// needed, flooring at the smallest downstream high-water mark (see
-// View.PruneApplied).
-func (av *AggregateView) PruneApplied() int {
-	return av.db.pruneView(av.derived, maxFoldCSN)
-}
 
 // AggStats reports maintenance activity for an aggregate view.
 type AggStats struct {

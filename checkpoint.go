@@ -136,32 +136,27 @@ func (db *DB) Restore(path string) (CSN, error) {
 	return db.eng.LastCSN(), nil
 }
 
-// quiesce suspends every maintained view's propagation and the background
+// quiesce suspends every maintained relation's propagation and the background
 // fold job, waits for capture to reflect every commit, and returns the
 // commit horizon and log offset the checkpoint will cover, plus a resume
 // function restarting what was suspended. The fold job must not run
 // concurrently with a checkpoint write: a fold could prune delta rows out
 // of the window an incremental link is serializing.
 func (db *DB) quiesce() (resume func(), last CSN, offset int64, err error) {
-	db.mu.Lock()
-	views := make([]*View, 0, len(db.views))
-	for _, v := range db.views {
-		views = append(views, v)
-	}
-	db.mu.Unlock()
-	var suspended []*View
+	rels := db.relations()
+	var suspended []*maintained
 	resume = func() {
-		for _, v := range suspended {
-			v.StartPropagation()
+		for _, m := range suspended {
+			m.StartPropagation()
 		}
 	}
-	for _, v := range views {
-		if v.Maintaining() {
-			if serr := v.StopPropagation(); serr != nil {
+	for _, m := range rels {
+		if m.Maintaining() {
+			if serr := m.StopPropagation(); serr != nil {
 				resume()
 				return nil, 0, 0, serr
 			}
-			suspended = append(suspended, v)
+			suspended = append(suspended, m)
 		}
 	}
 	if db.fold != nil && db.fold.Running() {

@@ -15,7 +15,16 @@ import (
 // it from the base history alone, whatever the propagation schedule.
 type netDelta map[string]int64
 
-func collectNetDelta(t *testing.T, v *View, lo, hi CSN) netDelta {
+// deltaRelation is what the comparison needs of a maintained relation.
+type deltaRelation interface {
+	Name() string
+	MatTime() CSN
+	PropagateStep() error
+	CatchUp(CSN) error
+	EachDelta(lo, hi CSN, fn func(ts CSN, count int64, row Tuple) error) error
+}
+
+func collectNetDelta(t *testing.T, v deltaRelation, lo, hi CSN) netDelta {
 	t.Helper()
 	out := make(netDelta)
 	if err := v.EachDelta(lo, hi, func(ts CSN, count int64, row Tuple) error {
@@ -64,7 +73,8 @@ func diffNetDelta(a, b netDelta) string {
 //   - Fig. 5 stepwise propagation against Fig. 10 rolling propagation with
 //     random per-relation intervals;
 //   - stepwise against rolling at interval 1 with every empty-window query
-//     kept.
+//     kept;
+//   - a one-branch union against the plain view of the same spec.
 //
 // Propagation steps of random views interleave with the commits, so the
 // relations cut the history into different windows. A wrong timestamp
@@ -162,13 +172,18 @@ func equivalentConfigurations(t *testing.T, seed int64) {
 		Joins:  []Join{{"ab", "r2_k", "C", "k"}},
 		Output: []OutCol{{"ab", "id"}, {"ab", "r2_id"}, {"C", "id"}},
 	}, Maintain{Interval: CSN(1 + rng.Intn(4))})
-	views := map[string]*View{
+	union, err := db.DefineUnionView("union", []ViewSpec{flatSpec("branch")}, Maintain{Interval: intervals[0], Manual: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := map[string]deltaRelation{
 		"ab":       ab,
 		"cascade":  cascade,
 		"flat":     define(flatSpec("flat"), Maintain{Algorithm: AlgorithmStepwise, Interval: CSN(1 + rng.Intn(4))}),
 		"rolling":  define(flatSpec("rolling"), Maintain{Intervals: intervals}),
 		"stepwise": define(flatSpec("stepwise"), Maintain{Algorithm: AlgorithmStepwise, Interval: CSN(1 + rng.Intn(6))}),
 		"keep":     define(flatSpec("keep"), Maintain{Interval: 1, KeepEmptyWindowQueries: true}),
+		"union":    union,
 	}
 	names := make([]string, 0, len(views))
 	for n := range views {
@@ -241,6 +256,7 @@ func equivalentConfigurations(t *testing.T, seed int64) {
 		{"stepwise", "rolling"},
 		{"stepwise", "keep"},
 		{"flat", "stepwise"},
+		{"flat", "union"},
 	} {
 		if d := diffNetDelta(deltas[pair[0]], deltas[pair[1]]); d != "" {
 			t.Errorf("%s and %s deltas differ per (CSN, row): %s", pair[0], pair[1], d)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/relalg"
 	"repro/internal/tuple"
+	"repro/internal/wal"
 )
 
 func newDB(t *testing.T) *engine.DB {
@@ -100,6 +101,33 @@ func TestLogCaptureIgnoresAbortsAndUnwatched(t *testing.T) {
 	// The unwatched table's commit still advances progress and the UOW.
 	if c.Progress() != 1 || c.UOW().Len() != 1 {
 		t.Fatalf("progress %d uow %d", c.Progress(), c.UOW().Len())
+	}
+}
+
+// TestLogCaptureBeginDropsOrphanFrames replays a log in which transaction
+// id 2 was cut off after one insert and the id was then reused: a Begin
+// starts a fresh transaction, so only the second insert is captured.
+func TestLogCaptureBeginDropsOrphanFrames(t *testing.T) {
+	db := newDB(t)
+	c := NewLogCapture(db)
+	for _, rec := range []*wal.Record{
+		{Type: wal.TypeBegin, TxID: 2},
+		{Type: wal.TypeInsert, TxID: 2, Table: "r", Row: tuple.Tuple{tuple.Int(666), tuple.String_("orphan")}},
+		{Type: wal.TypeBegin, TxID: 2},
+		{Type: wal.TypeInsert, TxID: 2, Table: "r", Row: tuple.Tuple{tuple.Int(1), tuple.String_("a")}},
+		{Type: wal.TypeCommit, TxID: 2, CSN: 1},
+	} {
+		if _, err := db.Log().Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.RunOnce(); err != nil {
+		t.Fatal(err)
+	}
+	d, _ := db.Delta("r")
+	all := d.All()
+	if all.Len() != 1 || all.Rows[0].Tuple[0].AsInt() != 1 {
+		t.Fatalf("captured %s, want only row 1", all)
 	}
 }
 

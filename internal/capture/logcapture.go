@@ -217,7 +217,9 @@ func (c *LogCapture) RunBounded(limit int) (int, error) {
 func (c *LogCapture) apply(rec *wal.Record) error {
 	switch rec.Type {
 	case wal.TypeBegin:
-		// Nothing to do; pending entries are created lazily.
+		// A Begin starts a fresh transaction: frames left pending under a
+		// reused id belong to one cut off before a checkpoint.
+		delete(c.pending, rec.TxID)
 	case wal.TypeInsert:
 		c.pending[rec.TxID] = append(c.pending[rec.TxID], pendingChange{rec.Table, rec.Row, +1})
 	case wal.TypeDelete:

@@ -266,9 +266,6 @@ func NewAggView(def *AggregateDef, src, out *tuple.Schema, up *engine.DeltaTable
 	}
 }
 
-// OutSchema returns the aggregate's output schema.
-func (av *AggView) OutSchema() *tuple.Schema { return av.out }
-
 // HWM returns the aggregate's high-water mark: its delta stream is
 // complete through this CSN.
 func (av *AggView) HWM() relalg.CSN {

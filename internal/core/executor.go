@@ -125,12 +125,6 @@ func (e *Executor) Stats() ExecStats {
 	return e.stats
 }
 
-// Dest returns the view delta table the executor fills.
-func (e *Executor) Dest() *engine.DeltaTable { return e.dest }
-
-// View returns the maintained view definition.
-func (e *Executor) View() *ViewDef { return e.view }
-
 // noteSkipped bumps the skipped-empty-window counter.
 func (e *Executor) noteSkipped() {
 	e.mu.Lock()

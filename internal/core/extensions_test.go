@@ -13,7 +13,7 @@ import (
 
 // unionEnv builds a database with three tables and a two-branch union view:
 // (r1 ⋈ r2) + (r1 ⋈ r3), both projected to the same schema.
-func unionEnv(t *testing.T) (*engine.DB, *capture.LogCapture, *UnionView, func(table string, k int64) relalg.CSN) {
+func unionEnv(t *testing.T) (*engine.DB, *engine.DeltaTable, *UnionView, func(table string, k int64) relalg.CSN) {
 	t.Helper()
 	db, err := engine.Open(engine.Config{})
 	if err != nil {
@@ -39,7 +39,16 @@ func unionEnv(t *testing.T) (*engine.DB, *capture.LogCapture, *UnionView, func(t
 			Project:   []engine.ColRef{{Input: 0, Col: 0}, {Input: 1, Col: 1}},
 		}
 	}
-	uv, err := NewUnionView(db, c, "u", 0, PerRelationIntervals(3, 5), branch("b12", "r2"), branch("b13", "r3"))
+	b12, b13 := branch("b12", "r2"), branch("b13", "r3")
+	schema, err := b12.Schema(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest, err := db.CreateStandaloneDelta("u", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uv, err := NewUnionView(db, c, dest, 0, PerRelationIntervals(3, 5), b12, b13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +64,7 @@ func unionEnv(t *testing.T) (*engine.DB, *capture.LogCapture, *UnionView, func(t
 		}
 		return csn
 	}
-	return db, c, uv, insert
+	return db, dest, uv, insert
 }
 
 func drainUnion(t *testing.T, uv *UnionView, target relalg.CSN) {
@@ -68,7 +77,7 @@ func drainUnion(t *testing.T, uv *UnionView, target relalg.CSN) {
 }
 
 func TestUnionViewMaintenance(t *testing.T) {
-	db, _, uv, insert := unionEnv(t)
+	db, dest, uv, insert := unionEnv(t)
 	r := rand.New(rand.NewSource(81))
 	var last relalg.CSN
 	tables := []string{"r1", "r2", "r3"}
@@ -78,7 +87,7 @@ func TestUnionViewMaintenance(t *testing.T) {
 	drainUnion(t, uv, last)
 
 	// Oracle: recompute both branches and union them.
-	dv := engine.NewDerived(uv.Dest(), uv.HWM)
+	dv := engine.NewDerived(dest, uv.HWM)
 	applier := NewApplier(dv)
 	if err := applier.RollTo(last); err != nil {
 		t.Fatal(err)
@@ -98,13 +107,13 @@ func TestUnionViewMaintenance(t *testing.T) {
 }
 
 func TestUnionViewPointInTime(t *testing.T) {
-	_, _, uv, insert := unionEnv(t)
+	_, dest, uv, insert := unionEnv(t)
 	insert("r2", 1)
 	mid := insert("r1", 1)  // joins r2 branch
 	last := insert("r3", 1) // joins r3 branch too
 	drainUnion(t, uv, last)
 
-	dv := engine.NewDerived(uv.Dest(), uv.HWM)
+	dv := engine.NewDerived(dest, uv.HWM)
 	applier := NewApplier(dv)
 	if err := applier.RollTo(mid); err != nil {
 		t.Fatal(err)
@@ -130,13 +139,17 @@ func TestUnionViewValidation(t *testing.T) {
 	db.CreateDelta("a")
 	c := capture.NewLogCapture(db)
 
-	if _, err := NewUnionView(db, c, "empty", 0, FixedInterval(1)); err == nil {
+	dest, err := db.CreateStandaloneDelta("u", kvSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewUnionView(db, c, dest, 0, FixedInterval(1)); err == nil {
 		t.Fatal("no branches should fail")
 	}
 	v1 := &ViewDef{Name: "v1", Relations: []string{"a"}}
 	v2 := &ViewDef{Name: "v2", Relations: []string{"a"},
 		Project: []engine.ColRef{{Input: 0, Col: 0}}}
-	if _, err := NewUnionView(db, c, "mismatch", 0, FixedInterval(1), v1, v2); err == nil {
+	if _, err := NewUnionView(db, c, dest, 0, FixedInterval(1), v1, v2); err == nil {
 		t.Fatal("arity mismatch should fail")
 	}
 }

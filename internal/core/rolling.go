@@ -39,7 +39,7 @@ import (
 // the deferral graph empty: pair delivery is resolved within one cell by
 // the static expansion, never across steps.
 //
-// Step is intended for a single driver goroutine; HWM, TFwd, and Steps
+// Step is intended for a single driver goroutine; HWM and TFwd
 // may be called concurrently from the apply process (the two processes
 // are independent, Section 1).
 type RollingPropagator struct {
@@ -54,8 +54,7 @@ type RollingPropagator struct {
 	// cell[i] indexes the next cell relation i will process: relation i
 	// has completed every cell below cell[i], so its forward progress
 	// tfwd[i] is bounds[cell[i]].
-	cell  []int
-	steps int64
+	cell []int
 }
 
 // NewRollingPropagator creates a RollingPropagate process starting at
@@ -101,13 +100,6 @@ func (r *RollingPropagator) minCellLocked() int {
 		}
 	}
 	return m
-}
-
-// Steps returns the number of completed forward steps.
-func (r *RollingPropagator) Steps() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.steps
 }
 
 // compactLocked drops boundary prefixes every relation has passed, so the
@@ -173,7 +165,6 @@ func (r *RollingPropagator) Step() error {
 			r.exec.noteSkipped()
 			r.mu.Lock()
 			r.cell[i]++
-			r.steps++
 			r.mu.Unlock()
 			return nil
 		}
@@ -194,7 +185,6 @@ func (r *RollingPropagator) Step() error {
 
 	r.mu.Lock()
 	r.cell[i]++
-	r.steps++
 	r.mu.Unlock()
 	return nil
 }

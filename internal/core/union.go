@@ -16,22 +16,22 @@ import (
 // own rolling propagator into a shared view delta table, and the union's
 // high-water mark is the minimum of the branch high-water marks.
 type UnionView struct {
-	Name     string
 	Branches []*ViewDef
 
-	dest  *engine.DeltaTable
 	props []*RollingPropagator
 }
 
 // NewUnionView validates the branches (same arity output) and wires one
-// rolling propagator per branch into a shared view delta table.
-func NewUnionView(db *engine.DB, src capture.Source, name string, tInitial relalg.CSN,
+// rolling propagator per branch, each starting at tInitial, into the
+// shared view delta table dest.
+func NewUnionView(db *engine.DB, src capture.Source, dest *engine.DeltaTable, tInitial relalg.CSN,
 	interval IntervalPolicy, branches ...*ViewDef) (*UnionView, error) {
+	name := dest.Base()
 	if len(branches) == 0 {
 		return nil, fmt.Errorf("core: union view %q needs at least one branch", name)
 	}
-	var arity int
-	for i, b := range branches {
+	arity := dest.Schema().Arity()
+	for _, b := range branches {
 		if err := b.Validate(db); err != nil {
 			return nil, err
 		}
@@ -39,31 +39,18 @@ func NewUnionView(db *engine.DB, src capture.Source, name string, tInitial relal
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			arity = s.Arity()
-		} else if s.Arity() != arity {
+		if s.Arity() != arity {
 			return nil, fmt.Errorf("core: union view %q: branch %q arity %d != %d",
 				name, b.Name, s.Arity(), arity)
 		}
 	}
-	schema, err := branches[0].Schema(db)
-	if err != nil {
-		return nil, err
-	}
-	dest, err := db.CreateStandaloneDelta("Δ"+name, schema)
-	if err != nil {
-		return nil, err
-	}
-	uv := &UnionView{Name: name, Branches: branches, dest: dest}
+	uv := &UnionView{Branches: branches}
 	for _, b := range branches {
 		exec := NewExecutor(db, src, b, dest)
 		uv.props = append(uv.props, NewRollingPropagator(exec, tInitial, interval))
 	}
 	return uv, nil
 }
-
-// Dest returns the shared view delta table.
-func (uv *UnionView) Dest() *engine.DeltaTable { return uv.dest }
 
 // HWM returns the union view's high-water mark: the minimum over branches.
 func (uv *UnionView) HWM() relalg.CSN {
@@ -87,7 +74,3 @@ func (uv *UnionView) Step() error {
 	}
 	return uv.props[best].Step()
 }
-
-// Propagators exposes the per-branch rolling propagators (for tuning and
-// inspection).
-func (uv *UnionView) Propagators() []*RollingPropagator { return uv.props }

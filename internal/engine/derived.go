@@ -69,7 +69,7 @@ var ErrNegativeCount = errors.New("engine: view tuple count went negative")
 
 // NewDerived creates an empty image at time 0 over a delta table, without
 // registering it as a readable relation: the form for images nothing
-// downstream reads (union views, experiment drivers). hwm reports the
+// downstream reads (experiment drivers and tests). hwm reports the
 // propagation high-water mark, the time a NullTS read reads at.
 func NewDerived(delta *DeltaTable, hwm func() relalg.CSN) *Derived {
 	dv := &Derived{name: delta.Base(), delta: delta, hwm: hwm, image: make(map[string]int64)}
@@ -137,9 +137,6 @@ func (db *DB) DropStandaloneDelta(name string) {
 	delete(db.deltas, name)
 	db.mu.Unlock()
 }
-
-// Name returns the derived relation's name (the view name).
-func (dv *Derived) Name() string { return dv.name }
 
 // Schema returns the derived relation's output schema.
 func (dv *Derived) Schema() *tuple.Schema { return dv.delta.Schema() }

@@ -48,6 +48,9 @@ func (db *DB) recover(offset int64) (relalg.CSN, error) {
 		}
 		switch rec.Type {
 		case wal.TypeBegin:
+			// A Begin starts a fresh transaction: frames left pending under
+			// a reused id belong to one cut off before a checkpoint.
+			delete(pending, rec.TxID)
 		case wal.TypeInsert:
 			pending[rec.TxID] = append(pending[rec.TxID], change{rec.Table, rec.Row, +1})
 		case wal.TypeDelete:

@@ -60,19 +60,39 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// Session executes statements against a rollingjoin database. It tracks
-// union views by name (the facade does not register them).
+// Session executes statements against a rollingjoin database.
 type Session struct {
-	DB     *rollingjoin.DB
-	unions map[string]*rollingjoin.UnionView
+	DB *rollingjoin.DB
 }
 
 // NewSession creates a session.
-func NewSession(db *rollingjoin.DB) *Session {
-	return &Session{
-		DB:     db,
-		unions: make(map[string]*rollingjoin.UnionView),
+func NewSession(db *rollingjoin.DB) *Session { return &Session{DB: db} }
+
+// maintainedRel is what every maintained relation — view, union view or
+// aggregate — offers the SQL layer.
+type maintainedRel interface {
+	Name() string
+	HWM() rollingjoin.CSN
+	MatTime() rollingjoin.CSN
+	Relation() *relalg.Relation
+	CatchUp(rollingjoin.CSN) error
+	RefreshTo(rollingjoin.CSN) error
+	Refresh() (rollingjoin.CSN, error)
+}
+
+// relation looks up a maintained relation of any kind, with the label SHOW
+// VIEWS prints after its name.
+func (s *Session) relation(name string) (rel maintainedRel, label string, ok bool) {
+	if v, ok := s.DB.View(name); ok {
+		return v, "", true
 	}
+	if u, ok := s.DB.Union(name); ok {
+		return u, " (union)", true
+	}
+	if a, ok := s.DB.Aggregate(name); ok {
+		return a, " (aggregate)", true
+	}
+	return nil, "", false
 }
 
 // Exec parses and executes a semicolon-separated script, returning one
@@ -301,14 +321,8 @@ func (s *Session) selectStmt(q *Select) (*Result, error) {
 	}
 	// SELECT * FROM <view> reads materialized contents.
 	if len(q.From) == 1 && len(q.Joins) == 0 {
-		if v, ok := s.DB.View(q.From[0].Table); ok {
-			return s.selectFromRelation(v.Relation(), v.Name(), q)
-		}
-		if uv, ok := s.unions[q.From[0].Table]; ok {
-			return s.selectFromRelation(uv.Relation(), uv.Name(), q)
-		}
-		if av, ok := s.DB.Aggregate(q.From[0].Table); ok {
-			return s.selectFromRelation(av.Relation(), av.Name(), q)
+		if r, _, ok := s.relation(q.From[0].Table); ok {
+			return s.selectFromRelation(r.Relation(), r.Name(), q)
 		}
 	}
 	spec, err := s.toSpec("adhoc", q)
@@ -592,9 +606,6 @@ func (s *Session) createView(st *CreateView) (*Result, error) {
 	if st.Stepwise {
 		return nil, errors.New("sql: union views use the rolling algorithm (drop STEPWISE)")
 	}
-	if _, dup := s.unions[st.Name]; dup {
-		return nil, fmt.Errorf("sql: union view %q already exists", st.Name)
-	}
 	specs := make([]rollingjoin.ViewSpec, len(st.Branches))
 	for i, b := range st.Branches {
 		spec, err := s.toSpec(fmt.Sprintf("%s#%d", st.Name, i+1), b)
@@ -603,11 +614,9 @@ func (s *Session) createView(st *CreateView) (*Result, error) {
 		}
 		specs[i] = spec
 	}
-	uv, err := s.DB.DefineUnionView(st.Name, specs, opt)
-	if err != nil {
+	if _, err := s.DB.DefineUnionView(st.Name, specs, opt); err != nil {
 		return nil, err
 	}
-	s.unions[st.Name] = uv
 	return &Result{Message: fmt.Sprintf("materialized union view %s created (%d branches)", st.Name, len(st.Branches))}, nil
 }
 
@@ -644,19 +653,8 @@ func (s *Session) createAggregate(st *CreateView, q *Select, opt rollingjoin.Mai
 }
 
 func (s *Session) refresh(st *Refresh) (*Result, error) {
-	type refreshable interface {
-		CatchUp(rollingjoin.CSN) error
-		RefreshTo(rollingjoin.CSN) error
-		Refresh() (rollingjoin.CSN, error)
-	}
-	var v refreshable
-	if pv, ok := s.DB.View(st.Name); ok {
-		v = pv
-	} else if uv, ok := s.unions[st.Name]; ok {
-		v = uv
-	} else if av, ok := s.DB.Aggregate(st.Name); ok {
-		v = av
-	} else {
+	v, _, ok := s.relation(st.Name)
+	if !ok {
 		return nil, fmt.Errorf("sql: no view %q", st.Name)
 	}
 	if st.ToCSN >= 0 {
@@ -700,27 +698,11 @@ func (s *Session) show(st *Show) (*Result, error) {
 	case "VIEWS":
 		out := &Result{Columns: []string{"view", "mat_time", "hwm"}}
 		for _, name := range s.DB.ViewNames() {
-			v, _ := s.DB.View(name)
-			out.Rows = append(out.Rows, []string{
-				name, fmt.Sprint(v.MatTime()), fmt.Sprint(v.HWM()),
-			})
-		}
-		unames := make([]string, 0, len(s.unions))
-		for n := range s.unions {
-			unames = append(unames, n)
-		}
-		sort.Strings(unames)
-		for _, name := range unames {
-			uv := s.unions[name]
-			out.Rows = append(out.Rows, []string{
-				name + " (union)", fmt.Sprint(uv.MatTime()), fmt.Sprint(uv.HWM()),
-			})
-		}
-		for _, name := range s.DB.AggregateNames() {
-			av, _ := s.DB.Aggregate(name)
-			out.Rows = append(out.Rows, []string{
-				name + " (aggregate)", fmt.Sprint(av.MatTime()), fmt.Sprint(av.HWM()),
-			})
+			if r, label, ok := s.relation(name); ok {
+				out.Rows = append(out.Rows, []string{
+					name + label, fmt.Sprint(r.MatTime()), fmt.Sprint(r.HWM()),
+				})
+			}
 		}
 		return out, nil
 	case "STATS":

@@ -52,6 +52,43 @@ func TestSQLUnionView(t *testing.T) {
 	}
 }
 
+// TestSQLAggregateOverUnion defines an aggregate over a union view, reads
+// it, lists both in SHOW VIEWS, and drops the union with its aggregate.
+func TestSQLAggregateOverUnion(t *testing.T) {
+	s := newSession(t)
+	mustExec(t, s, `
+		CREATE TABLE orders (id INT, item TEXT);
+		CREATE TABLE items (item TEXT, price INT);
+		INSERT INTO items VALUES ('ball', 5), ('bat', 20);
+		CREATE MATERIALIZED VIEW priced AS
+			SELECT o.item, i.price FROM orders o JOIN items i ON o.item = i.item WHERE i.price < 10
+			UNION
+			SELECT o.item, i.price FROM orders o JOIN items i ON o.item = i.item WHERE i.price >= 10;
+		CREATE MATERIALIZED VIEW per_item AS SELECT item, COUNT(*) FROM priced GROUP BY item;
+		INSERT INTO orders VALUES (1, 'ball'), (2, 'bat'), (3, 'ball');
+	`)
+	mustExec(t, s, "REFRESH VIEW per_item")
+	res := mustExec(t, s, "SELECT * FROM per_item")
+	if got := res[0].Rows; len(got) != 2 || got[0][0] != "ball" || got[0][1] != "2" || got[1][0] != "bat" || got[1][1] != "1" {
+		t.Fatalf("aggregate over union: %+v", got)
+	}
+	res = mustExec(t, s, "SHOW VIEWS")
+	var names []string
+	for _, row := range res[0].Rows {
+		names = append(names, row[0])
+	}
+	if strings.Join(names, ",") != "per_item (aggregate),priced (union)" {
+		t.Fatalf("SHOW VIEWS lists %v", names)
+	}
+	mustExec(t, s, "DROP VIEW priced")
+	if res := mustExec(t, s, "SHOW VIEWS"); len(res[0].Rows) != 0 {
+		t.Fatalf("after DROP VIEW of the union: %+v", res[0].Rows)
+	}
+	if _, err := s.Exec("SELECT * FROM per_item"); err == nil {
+		t.Fatal("the aggregate over the dropped union is still readable")
+	}
+}
+
 func itoa(v int64) string {
 	if v == 0 {
 		return "0"

@@ -3,12 +3,17 @@ package rollingjoin
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/capture"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/relalg"
 	"repro/internal/sched"
+	"repro/internal/tuple"
 )
 
 // classifyMaintenance is the error policy shared by every maintenance
@@ -29,33 +34,160 @@ func classifyMaintenance(err error) sched.Outcome {
 	}
 }
 
-// maintained is the one maintenance lifecycle in the package: a thin
-// handle over jobs on the DB's scheduler. View, UnionView, and
-// AggregateView embed or reference it instead of carrying their own
-// goroutine loops — start/stop are idempotent and safe under concurrent churn, Stop drains
+// maintained is the one record per maintained relation — join view,
+// union view or incremental aggregate — kept in the DB's one registry and
+// created by the one define path (define). It holds the relation's stored
+// state (image plus timed delta), its propagation and apply jobs on the
+// DB's scheduler, and its high-water mark; View, UnionView and
+// AggregateView embed it and add only what is specific to their kind.
+// Start/stop are idempotent and safe under concurrent churn, Stop drains
 // the in-flight step, and waits are event-driven (no sleep polling).
 type maintained struct {
-	db    *DB
+	db   *DB
+	name string
+	// inputs names the relations propagation reads: base tables or other
+	// maintained relations. A relation's downstreams are the registry
+	// entries whose inputs name it.
+	inputs []string
+	// handle is the public value embedding this record (*View,
+	// *UnionView or *AggregateView), returned by the typed lookups.
+	handle any
+
+	// dest is the timed delta table, registered under the relation's
+	// name; derived is the relation's one stored state (its image at
+	// MatTime plus dest), readable by downstream relations like a base
+	// table.
+	dest    *engine.DeltaTable
+	derived *engine.Derived
+	applier *core.Applier
+
 	prop  *sched.Job // propagation: advances the view delta HWM
 	apply *sched.Job // application (AutoRefresh only): rolls the MV
 	hwm   func() CSN
 
-	// src is the capture source this view's propagation gates on. For a
-	// view over base tables it is the database's capture process; for a
-	// cascaded view (reading other maintained views) it is a composite
-	// ViewSource whose progress is min(capture, upstream HWMs). Nil falls
-	// back to the database source.
+	// src is the capture source this relation's propagation gates on. Over
+	// base tables it is the database's capture process; over other
+	// maintained relations it is a composite ViewSource whose progress is
+	// min(capture, upstream HWMs).
 	src capture.Source
-	// ups are the maintained upstream views this view reads as relations
-	// (cascade edges), recorded for lifecycle bookkeeping.
+	// ups are the maintained relations among the inputs (cascade edges).
 	ups []*maintained
 
 	depMu sync.Mutex
-	deps  []*sched.Job // downstream propagation / summary jobs, kicked on progress
+	deps  []*sched.Job // downstream propagation jobs, kicked on progress
+}
+
+// reads reports whether rel is one of the relation's inputs.
+func (m *maintained) reads(rel string) bool { return slices.Contains(m.inputs, rel) }
+
+// stableInstant picks one stable CSN and brings every upstream's
+// high-water mark up to it, so their deltas are complete there and a
+// definition can materialize all of its inputs at exactly that time.
+func (db *DB) stableInstant(ups []*maintained) (CSN, error) {
+	snap, err := db.eng.OpenSnapshot(relalg.NullTS)
+	if err != nil {
+		return 0, err
+	}
+	asOf := snap.AsOf()
+	snap.Close()
+	for _, u := range ups {
+		if err := u.CatchUp(asOf); err != nil {
+			return 0, err
+		}
+	}
+	return asOf, nil
+}
+
+// buildFunc wires a relation's propagation over the delta table the define
+// path created: given the capture source and the stable instant asOf, it
+// returns the propagation step, the high-water mark, and the relation's
+// image at asOf.
+type buildFunc func(dest *engine.DeltaTable, src capture.Source, asOf CSN) (step func() error, hwm func() CSN, image *relalg.Relation, err error)
+
+// define is the one define path for every maintained relation; m carries
+// the name, inputs and handle. It creates the delta table under the
+// relation's plain name (the view-as-relation contract: downstream
+// propagation and db.Delta(name) resolve it without special cases), gates
+// propagation on capture and upstream progress, lets build wire the step
+// and image at one stable instant, registers the image as a derived
+// relation and the prop (plus, under AutoRefresh, apply) job, enters the
+// registry, chains the upstream cascade edges and, unless Manual, starts
+// maintenance. A failure undoes what it created.
+func (db *DB) define(m *maintained, schema *tuple.Schema, opt Maintain, build buildFunc) error {
+	db.ensureCapture()
+	if db.maintainedRel(m.name) != nil {
+		return fmt.Errorf("rollingjoin: %q already defined", m.name)
+	}
+	// Creating the delta claims the name: it fails for any existing base
+	// table or maintained relation, so a failure here has nothing to undo.
+	dest, err := db.eng.CreateStandaloneDelta(m.name, schema)
+	if err != nil {
+		return err
+	}
+	fail := func(err error) error {
+		db.eng.UnregisterDerived(m.name)
+		db.eng.DropStandaloneDelta(m.name)
+		return err
+	}
+	m.db, m.dest, m.src = db, dest, db.src
+	m.ups = db.upstreamsOf(m.inputs)
+	if len(m.ups) > 0 {
+		vs := &capture.ViewSource{Base: db.src}
+		for _, u := range m.ups {
+			vs.Ups = append(vs.Ups, capture.Upstream{Name: u.name, HWM: u.hwm, CatchUp: u.CatchUpContext})
+		}
+		m.src = vs
+	}
+	asOf, err := db.stableInstant(m.ups)
+	if err != nil {
+		return fail(err)
+	}
+	step, hwm, image, err := build(dest, m.src, asOf)
+	if err != nil {
+		return fail(err)
+	}
+	dv, err := db.eng.RegisterDerived(dest, hwm)
+	if err != nil {
+		return fail(err)
+	}
+	if err := dv.SetImage(image, asOf); err != nil {
+		return fail(err)
+	}
+	m.derived, m.applier, m.hwm = dv, core.NewApplier(dv), hwm
+	m.prop = db.sched.Register("prop:"+m.name, step, sched.Options{
+		HWM:      hwm,
+		Classify: classifyMaintenance,
+		Backlog: func(limit int) int {
+			return dest.PendingAfter(dv.MatTime(), limit)
+		},
+		MaxBacklog:   opt.MaxBacklog,
+		OnProgress:   m.notifyDeps,
+		WakeOnNotify: true,
+	})
+	if opt.AutoRefresh {
+		m.apply = db.sched.Register("apply:"+m.name, applyStep(m.applier), sched.Options{
+			Classify:   classifyMaintenance,
+			OnProgress: m.applied,
+		})
+	}
+	db.mu.Lock()
+	db.rels[m.name] = m
+	db.mu.Unlock()
+
+	// Chain the cascade on the scheduler: every upstream propagation
+	// advance kicks this relation's propagation job, so deltas flow level
+	// to level without polling.
+	for _, u := range m.ups {
+		u.addDep(m.prop)
+	}
+	if !opt.Manual {
+		m.StartPropagation()
+	}
+	return nil
 }
 
 // notifyDeps chains downstream jobs on propagation progress: the apply
-// job (new delta rows to fold in), any summary auto-refreshers, and the
+// job (new delta rows to fold in), downstream propagation jobs, and the
 // fold job, whose floor follows the HWM.
 func (m *maintained) notifyDeps() {
 	if m.apply != nil {
@@ -213,21 +345,12 @@ func (m *maintained) CatchUpContext(ctx context.Context, target CSN) error {
 	return nil
 }
 
-// source returns the capture source this view gates on: the composite
-// cascade source when set, else the database's capture process.
-func (m *maintained) source() capture.Source {
-	if m.src != nil {
-		return m.src
-	}
-	return m.db.Source()
-}
-
 // waitCapture blocks until capture progress reaches csn, honoring ctx
 // when the source supports context-aware waits. For a cascaded view the
 // source is a ViewSource, so this also drives lagging upstream views'
 // propagation forward.
 func (m *maintained) waitCapture(ctx context.Context, csn CSN) error {
-	src := m.source()
+	src := m.src
 	if w, ok := src.(interface {
 		WaitProgressContext(context.Context, relalg.CSN) error
 	}); ok {
@@ -257,4 +380,134 @@ func applyStep(a *core.Applier) func() error {
 		}
 		return nil
 	}
+}
+
+// Name returns the relation's name.
+func (m *maintained) Name() string { return m.name }
+
+// HWM returns the delta high-water mark: the latest CSN the relation can
+// currently be rolled to.
+func (m *maintained) HWM() CSN { return m.hwm() }
+
+// MatTime returns the CSN whose database state the materialized tuples
+// currently reflect.
+func (m *maintained) MatTime() CSN { return m.derived.MatTime() }
+
+// Rows returns the materialized tuples in net-effect form, sorted; a
+// tuple with multiplicity m appears m times.
+func (m *maintained) Rows() []Tuple { return expand(image(m.derived)) }
+
+// Cardinality returns the number of tuples (with multiplicity).
+func (m *maintained) Cardinality() int64 { return image(m.derived).Cardinality() }
+
+// Relation exposes the materialized contents for experiments and the SQL
+// layer.
+func (m *maintained) Relation() *relalg.Relation { return image(m.derived) }
+
+// MaterializeAt computes the relation's contents as of an arbitrary CSN at
+// or below the high-water mark — the derived image plus the delta window
+// up to asOf — without moving the materialized tuples (no Refresh). It
+// returns ErrBeyondHWM when asOf exceeds the HWM. This is the server's
+// point-in-time read: any number of clients can materialize at different
+// instants concurrently with ongoing maintenance.
+func (m *maintained) MaterializeAt(asOf CSN) ([]Tuple, error) {
+	rel, err := m.derived.ScanAsOf(asOf, nil)
+	if err != nil {
+		return nil, err
+	}
+	return expand(rel), nil
+}
+
+// image reads a maintained relation's image at its MatTime. An image that
+// cannot be read back from cold spill (engine.ErrSpillLost) reads as
+// empty here; Refresh and MaterializeAt report that error.
+func image(dv *engine.Derived) *relalg.Relation {
+	rel, err := dv.Image()
+	if err != nil {
+		return relalg.NewRelation(dv.Schema())
+	}
+	return rel
+}
+
+// expand lists a relation's tuples in its row order, a tuple with
+// multiplicity m appearing m times.
+func expand(rel *relalg.Relation) []Tuple {
+	out := make([]Tuple, 0, rel.Len())
+	for _, r := range rel.Rows {
+		for i := int64(0); i < r.Count; i++ {
+			out = append(out, Tuple(r.Tuple))
+		}
+	}
+	return out
+}
+
+// EachDelta streams the relation's timed delta rows with CSN in (lo, hi]
+// in timestamp order: fn receives each delta's commit CSN, signed
+// multiplicity, and decoded row. The view-delta subscription endpoint
+// drives it window by window as the high-water mark advances — the
+// relation's change stream, exactly as minted by propagation. fn must not
+// retain the row slice and must not call back into the delta table.
+func (m *maintained) EachDelta(lo, hi CSN, fn func(ts CSN, count int64, row Tuple) error) error {
+	return m.dest.WindowEach(lo, hi, func(ts relalg.CSN, count int64, encRow []byte) error {
+		row, _, err := tuple.DecodeRow(encRow)
+		if err != nil {
+			return err
+		}
+		return fn(ts, count, Tuple(row))
+	})
+}
+
+// Refresh rolls the materialized tuples to the current high-water mark and
+// returns the CSN reached.
+func (m *maintained) Refresh() (CSN, error) {
+	t, err := m.applier.RollToHWM()
+	m.applied()
+	return t, err
+}
+
+// RefreshTo performs point-in-time refresh: it rolls the relation to
+// exactly the given CSN, which must lie between the current
+// materialization time and the high-water mark.
+func (m *maintained) RefreshTo(t CSN) error {
+	err := m.applier.RollTo(t)
+	m.applied()
+	return err
+}
+
+// RefreshToTime rolls the relation to the last transaction committed at or
+// before the given wall-clock instant ("refresh the view to its 5:00 pm
+// state").
+func (m *maintained) RefreshToTime(t time.Time) (CSN, error) {
+	csn, err := m.db.CSNAt(t)
+	if err != nil {
+		return 0, err
+	}
+	if csn < m.MatTime() {
+		// The relation is already past that instant.
+		return 0, core.ErrBackward
+	}
+	return csn, m.RefreshTo(csn)
+}
+
+// PruneApplied discards delta rows that can no longer be needed. The safe
+// floor is the materialization time, further lowered to the smallest
+// high-water mark of any maintained relation defined over this one (see
+// pruneRel).
+func (m *maintained) PruneApplied() int { return m.db.pruneRel(m, maxFoldCSN) }
+
+// StartAutoRefresh starts the scheduled apply job (AutoRefresh relations
+// only; no-op otherwise). Idempotent.
+func (m *maintained) StartAutoRefresh() {
+	if m.apply != nil {
+		m.apply.Start()
+	}
+}
+
+// StopAutoRefresh suspends the scheduled apply job, draining any
+// in-flight roll. Idempotent.
+func (m *maintained) StopAutoRefresh() error {
+	if m.apply != nil {
+		return m.apply.Stop()
+	}
+	return nil
 }

@@ -121,14 +121,10 @@ type DB struct {
 	spillStop  chan struct{}
 	spillWg    sync.WaitGroup
 
-	mu     sync.Mutex
-	views  map[string]*View
-	aggs   map[string]*AggregateView
-	unions []*UnionView
-	// downs maps a maintained relation to the names of maintained
-	// relations defined over it (cascade edges). DropView walks it to
-	// drop dependents before their upstream disappears.
-	downs map[string]map[string]bool
+	// mu guards rels, the one registry of maintained relations (views,
+	// union views, aggregates) by name.
+	mu   sync.Mutex
+	rels map[string]*maintained
 }
 
 // Open creates a database instance and starts its capture process.
@@ -151,12 +147,7 @@ func Open(opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{
-		eng:   eng,
-		views: make(map[string]*View),
-		aggs:  make(map[string]*AggregateView),
-		downs: make(map[string]map[string]bool),
-	}
+	db := &DB{eng: eng, rels: make(map[string]*maintained)}
 	workers := opts.MaintenanceWorkers
 	if workers <= 0 {
 		workers = defaultMaintenanceWorkers
@@ -534,12 +525,13 @@ func (db *DB) Query(spec ViewSpec) (*QueryResult, error) {
 	return &QueryResult{Columns: schema.Names(), Rows: expand(relalg.NetEffect(rel))}, nil
 }
 
-// ViewNames returns the defined views, sorted.
+// ViewNames returns the names of every maintained relation — views,
+// union views and aggregates — sorted.
 func (db *DB) ViewNames() []string {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	names := make([]string, 0, len(db.views))
-	for n := range db.views {
+	names := make([]string, 0, len(db.rels))
+	for n := range db.rels {
 		names = append(names, n)
 	}
 	sort.Strings(names)
@@ -594,6 +586,14 @@ type Maintain struct {
 	MaxBacklog int
 }
 
+// interval is the propagation interval for relations without an override.
+func (opt Maintain) interval() CSN {
+	if opt.Interval > 0 {
+		return opt.Interval
+	}
+	return 16
+}
+
 // DefineView materializes the view, wires up its delta table and
 // propagation driver, and (unless Manual) starts propagation in the
 // background.
@@ -605,7 +605,6 @@ type Maintain struct {
 // therefore planned, propagated, and refreshed through the same
 // machinery at every level.
 func (db *DB) DefineView(spec ViewSpec, opt Maintain) (*View, error) {
-	db.ensureCapture()
 	def, err := db.resolve(spec)
 	if err != nil {
 		return nil, err
@@ -614,217 +613,99 @@ func (db *DB) DefineView(spec ViewSpec, opt Maintain) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Maintained upstream relations make this a cascaded definition.
-	ups, upNames := db.upstreamsOf(def.Relations)
-
-	// The cascade contract: the view delta registers under the view's own
-	// name, so delta positions of downstream propagation queries — and
-	// db.Delta(viewName) — resolve without special cases.
-	dest, err := db.eng.CreateStandaloneDelta(def.Name, schema)
-	if err != nil {
-		return nil, err
-	}
-	cleanup := func() {
-		db.eng.UnregisterDerived(def.Name)
-		db.eng.DropStandaloneDelta(def.Name)
-	}
-
-	// A cascaded view gates propagation on a composite source: progress is
-	// min(base capture, upstream HWMs), and waiting drives lagging
-	// upstreams forward first.
-	src := db.src
-	if len(ups) > 0 {
-		vs := &capture.ViewSource{Base: db.src}
-		for i, u := range ups {
-			vs.Ups = append(vs.Ups, capture.Upstream{Name: upNames[i], HWM: u.hwm, CatchUp: u.CatchUpContext})
+	v := &View{def: def}
+	v.maintained = maintained{name: def.Name, inputs: def.Relations, handle: v}
+	err = db.define(&v.maintained, schema, opt, func(dest *engine.DeltaTable, src capture.Source, asOf CSN) (func() error, func() CSN, *relalg.Relation, error) {
+		rel, err := core.MaterializeAt(db.eng, def, asOf)
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		src = vs
-	}
-
-	// Initial materialization: pick one stable instant, bring every
-	// upstream's high-water mark up to it (their deltas are then complete
-	// there), and materialize all inputs at exactly that time.
-	snap, err := db.eng.OpenSnapshot(relalg.NullTS)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	asOf := snap.AsOf()
-	snap.Close()
-	for _, u := range ups {
-		if err := u.CatchUp(asOf); err != nil {
-			cleanup()
-			return nil, err
+		v.exec = core.NewExecutor(db.eng, src, def, dest)
+		v.exec.SkipEmptyWindows = !opt.KeepEmptyWindowQueries
+		policy := core.FixedInterval(opt.interval())
+		switch {
+		case opt.AdaptiveTargetRows > 0:
+			policy = core.AdaptiveInterval(db.eng, def, opt.AdaptiveTargetRows)
+		case len(opt.Intervals) == def.N():
+			policy = core.PerRelationIntervals(opt.Intervals...)
 		}
-	}
-	rel, err := core.MaterializeAt(db.eng, def, asOf)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	exec := core.NewExecutor(db.eng, src, def, dest)
-	exec.SkipEmptyWindows = !opt.KeepEmptyWindowQueries
-
-	interval := opt.Interval
-	if interval <= 0 {
-		interval = 16
-	}
-	var policy core.IntervalPolicy
-	switch {
-	case opt.AdaptiveTargetRows > 0:
-		policy = core.AdaptiveInterval(db.eng, def, opt.AdaptiveTargetRows)
-	case len(opt.Intervals) == def.N():
-		policy = core.PerRelationIntervals(opt.Intervals...)
-	default:
-		policy = core.FixedInterval(interval)
-	}
-
-	v := &View{def: def, exec: exec, dest: dest}
-	var step func() error
-	var hwm func() CSN
-	switch opt.Algorithm {
-	case AlgorithmStepwise:
-		p := core.NewPropagator(exec, asOf, policy)
-		step, hwm = p.Step, p.HWM
-	default:
-		rp := core.NewRollingPropagator(exec, asOf, policy)
-		step, hwm = rp.Step, rp.HWM
-		v.rolling = rp
-	}
-
-	// The view's one stored state: its image at asOf plus the delta
-	// stream, registered as a relation readable at any CSN from the prune
-	// floor up to the HWM.
-	dv, err := db.eng.RegisterDerived(dest, hwm)
-	if err != nil {
-		cleanup()
-		return nil, err
-	}
-	if err := dv.SetImage(rel, asOf); err != nil {
-		cleanup()
-		return nil, err
-	}
-	v.derived = dv
-	v.applier = core.NewApplier(dv)
-	v.maintained = maintained{db: db, hwm: hwm, src: src, ups: ups}
-	v.prop = db.sched.Register("prop:"+def.Name, step, sched.Options{
-		HWM:      hwm,
-		Classify: classifyMaintenance,
-		Backlog: func(limit int) int {
-			return dest.PendingAfter(dv.MatTime(), limit)
-		},
-		MaxBacklog:   opt.MaxBacklog,
-		OnProgress:   v.notifyDeps,
-		WakeOnNotify: true,
+		if opt.Algorithm == AlgorithmStepwise {
+			p := core.NewPropagator(v.exec, asOf, policy)
+			return p.Step, p.HWM, rel, nil
+		}
+		v.rolling = core.NewRollingPropagator(v.exec, asOf, policy)
+		return v.rolling.Step, v.rolling.HWM, rel, nil
 	})
-	if opt.AutoRefresh {
-		v.apply = db.sched.Register("apply:"+def.Name, applyStep(v.applier), sched.Options{
-			Classify:   classifyMaintenance,
-			OnProgress: v.applied,
-		})
-	}
-
-	db.mu.Lock()
-	if _, dup := db.views[def.Name]; dup {
-		db.mu.Unlock()
-		v.unregisterJobs()
-		cleanup()
-		return nil, fmt.Errorf("rollingjoin: view %q already defined", def.Name)
-	}
-	db.views[def.Name] = v
-	for _, un := range upNames {
-		if db.downs[un] == nil {
-			db.downs[un] = make(map[string]bool)
-		}
-		db.downs[un][def.Name] = true
-	}
-	db.mu.Unlock()
-
-	// Chain the cascade on the scheduler: every upstream propagation
-	// advance kicks this view's propagation job, so deltas flow level to
-	// level without polling.
-	for _, u := range ups {
-		u.addDep(v.prop)
-	}
-
-	if !opt.Manual {
-		v.StartPropagation()
+	if err != nil {
+		return nil, err
 	}
 	return v, nil
 }
 
-// maintainedRel looks up a maintained relation (join view or incremental
-// aggregate) by name.
+// maintainedRel looks up a maintained relation of any kind by name.
 func (db *DB) maintainedRel(name string) *maintained {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if v, ok := db.views[name]; ok {
-		return &v.maintained
-	}
-	if a, ok := db.aggs[name]; ok {
-		return &a.maintained
-	}
-	return nil
+	return db.rels[name]
 }
 
-// upstreamsOf resolves the relation names that are maintained views.
-func (db *DB) upstreamsOf(rels []string) (ups []*maintained, names []string) {
+// relations snapshots the registry.
+func (db *DB) relations() []*maintained {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	rels := make([]*maintained, 0, len(db.rels))
+	for _, m := range db.rels {
+		rels = append(rels, m)
+	}
+	return rels
+}
+
+// lookup returns the maintained relation registered under name when its
+// handle has type T.
+func lookup[T any](db *DB, name string) (T, bool) {
+	if m := db.maintainedRel(name); m != nil {
+		h, ok := m.handle.(T)
+		return h, ok
+	}
+	var zero T
+	return zero, false
+}
+
+// upstreamsOf resolves the relation names that are maintained relations.
+func (db *DB) upstreamsOf(rels []string) []*maintained {
+	var ups []*maintained
 	for _, r := range rels {
 		if m := db.maintainedRel(r); m != nil {
 			ups = append(ups, m)
-			names = append(names, r)
 		}
 	}
-	return ups, names
-}
-
-// downstreamsOf returns the maintained relations currently defined over
-// the named relation.
-func (db *DB) downstreamsOf(name string) []*maintained {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]*maintained, 0, len(db.downs[name]))
-	for d := range db.downs[name] {
-		if v, ok := db.views[d]; ok {
-			out = append(out, &v.maintained)
-		} else if a, ok := db.aggs[d]; ok {
-			out = append(out, &a.maintained)
-		}
-	}
-	return out
+	return ups
 }
 
 // View returns a previously defined view.
-func (db *DB) View(name string) (*View, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	v, ok := db.views[name]
-	return v, ok
-}
+func (db *DB) View(name string) (*View, bool) { return lookup[*View](db, name) }
 
 // DropView stops a maintained relation's jobs, drops every maintained
-// relation defined over it (downstream views, aggregates, summaries),
+// relation defined over it (downstream views, unions, aggregates),
 // detaches it from its upstream cascade chains, and releases its delta
-// table and derived registration — so the name can be redefined. The
-// name may refer to a join view or an incremental aggregate.
+// table and derived registration — so the name can be redefined. The name
+// may refer to a relation of any kind.
 func (db *DB) DropView(name string) error {
 	db.mu.Lock()
-	v, okV := db.views[name]
-	a, okA := db.aggs[name]
-	if !okV && !okA {
+	m := db.rels[name]
+	if m == nil {
 		db.mu.Unlock()
 		return fmt.Errorf("rollingjoin: no view %q", name)
 	}
 	// Claim the name first (concurrent definitions over it fail fast),
 	// then snapshot the dependents to drop.
-	delete(db.views, name)
-	delete(db.aggs, name)
-	downs := make([]string, 0, len(db.downs[name]))
-	for d := range db.downs[name] {
-		downs = append(downs, d)
+	delete(db.rels, name)
+	var downs []string
+	for d, dm := range db.rels {
+		if dm.reads(name) {
+			downs = append(downs, d)
+		}
 	}
-	delete(db.downs, name)
 	db.mu.Unlock()
 	sort.Strings(downs)
 
@@ -834,22 +715,11 @@ func (db *DB) DropView(name string) error {
 		_ = db.DropView(d) // a concurrently dropped dependent is fine
 	}
 
-	var m *maintained
-	if okV {
-		m = &v.maintained
-	} else {
-		m = &a.maintained
-	}
 	err := m.StopPropagation()
 	m.unregisterJobs()
 	for _, u := range m.ups {
 		u.removeDep(m.prop)
 	}
-	db.mu.Lock()
-	for _, dn := range db.downs {
-		delete(dn, name)
-	}
-	db.mu.Unlock()
 	db.eng.UnregisterDerived(name)
 	db.eng.DropStandaloneDelta(name)
 	return err

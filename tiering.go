@@ -8,17 +8,16 @@ import (
 
 	"repro/internal/capture"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fault"
 	"repro/internal/sched"
 )
 
-// maxFoldCSN is the no-ceiling limit for pruneView: PruneApplied's classic
+// maxFoldCSN is the no-ceiling limit for pruneRel: PruneApplied's classic
 // behavior, floored only by materialization times and downstream readers.
 const maxFoldCSN = CSN(math.MaxInt64)
 
-// Fold runs one delta-prefix fold pass synchronously: every view's and
-// aggregate's delta prefix below the storage horizon (open snapshots,
+// Fold runs one delta-prefix fold pass synchronously: every maintained
+// relation's delta prefix below the storage horizon (open snapshots,
 // ledger pins, downstream readers, materialization times) is pruned — the
 // image at MatTime already covers it — base-table delta prefixes no reader
 // can reach are discarded, dead row versions are collected, and the
@@ -51,10 +50,10 @@ func (db *DB) kickFold() {
 //  1. Compute the fold floor from the engine's horizon ledger — the
 //     minimum of the stable CSN, every open snapshot, and every named pin
 //     (incremental checkpoints pin their chain tail here).
-//  2. Prune each view/aggregate delta to min(floor, its MatTime,
-//     downstream HWMs) via pruneView.
-//  3. Prune base-table delta prefixes to min(floor, referencing views'
-//     HWMs) — including deltas no view references at all.
+//  2. Prune each maintained relation's delta to min(floor, its MatTime,
+//     downstream HWMs) via pruneRel.
+//  3. Prune base-table delta prefixes to min(floor, the HWMs of the
+//     relations reading them) — including deltas no relation reads.
 //  4. Collect dead row versions below min(floor, every MatTime) — the
 //     same ceiling bounds the version-GC horizon so a lagging subscriber
 //     can still open compensation snapshots at its old HWM — and drop
@@ -69,28 +68,13 @@ func (db *DB) foldStep() error {
 	}
 	floor := db.eng.Horizons().Floor()
 
-	db.mu.Lock()
-	views := make([]*View, 0, len(db.views))
-	for _, v := range db.views {
-		views = append(views, v)
-	}
-	aggs := make([]*AggregateView, 0, len(db.aggs))
-	for _, a := range db.aggs {
-		aggs = append(aggs, a)
-	}
-	db.mu.Unlock()
+	rels := db.relations()
 
 	reclaimed := 0
 	matFloor := floor
-	for _, v := range views {
-		reclaimed += db.pruneView(v.derived, floor)
-		if t := v.MatTime(); t < matFloor {
-			matFloor = t
-		}
-	}
-	for _, a := range aggs {
-		reclaimed += db.pruneView(a.derived, floor)
-		if t := a.MatTime(); t < matFloor {
+	for _, m := range rels {
+		reclaimed += db.pruneRel(m, floor)
+		if t := m.MatTime(); t < matFloor {
 			matFloor = t
 		}
 	}
@@ -121,27 +105,31 @@ func (db *DB) foldStep() error {
 	return nil
 }
 
-// pruneView prunes a maintained relation's delta to min(limit, its
+// pruneRel prunes a maintained relation's delta to min(limit, its
 // MatTime, the HWM of every maintained relation defined over it): a
-// downstream view reads this delta both as its propagation input (windows
-// above its HWM) and through the image, rolled back to states at or above
-// that HWM.
-func (db *DB) pruneView(dv *engine.Derived, limit CSN) int {
-	for _, m := range db.downstreamsOf(dv.Name()) {
-		if h := m.hwm(); h < limit {
-			limit = h
+// downstream relation reads this delta both as its propagation input
+// (windows above its HWM) and through the image, rolled back to states at
+// or above that HWM.
+func (db *DB) pruneRel(m *maintained, limit CSN) int {
+	db.mu.Lock()
+	for _, d := range db.rels {
+		if d.reads(m.name) {
+			if h := d.hwm(); h < limit {
+				limit = h
+			}
 		}
 	}
-	return dv.PruneThrough(limit)
+	db.mu.Unlock()
+	return m.derived.PruneThrough(limit)
 }
 
 // pruneBaseDeltasTo prunes each base table's delta rows at or below
-// min(limit, lowest HWM of the views referencing it). With all set,
+// min(limit, lowest HWM of the maintained relations reading it). With all set,
 // deltas referenced by no view prune straight to limit (safe: a future
 // view materializes at definition time and reads only windows above it).
 func (db *DB) pruneBaseDeltasTo(limit CSN, all bool) int {
 	db.mu.Lock()
-	// Collect, per input relation, the lowest HWM across referencing views.
+	// Collect, per input relation, the lowest HWM across its readers.
 	safe := make(map[string]CSN)
 	acc := func(rels []string, hwm CSN) {
 		for _, rel := range rels {
@@ -150,11 +138,8 @@ func (db *DB) pruneBaseDeltasTo(limit CSN, all bool) int {
 			}
 		}
 	}
-	for _, v := range db.views {
-		acc(v.def.Relations, v.hwm())
-	}
-	for _, a := range db.aggs {
-		acc([]string{a.source}, a.hwm())
+	for _, m := range db.rels {
+		acc(m.inputs, m.hwm())
 	}
 	db.mu.Unlock()
 	if all {
@@ -167,8 +152,8 @@ func (db *DB) pruneBaseDeltasTo(limit CSN, all bool) int {
 	pruned := 0
 	for table, hwm := range safe {
 		if db.eng.IsDerived(table) {
-			// A maintained view's own delta doubles as its readable state;
-			// pruneView prunes it with downstream-aware flooring.
+			// A maintained relation's own delta doubles as its readable
+			// state; pruneRel prunes it with downstream-aware flooring.
 			continue
 		}
 		if hwm > limit {

@@ -135,16 +135,16 @@ func TestBackgroundFoldBoundsCardinality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the background job a chance to fold behind the refreshed view.
+	// A pass notes its folded rows when it ends, after it has pruned, so
+	// wait for the accounting as well as the shrink.
 	d, _ := db.Engine().Delta("orders")
 	deadline := time.Now().Add(5 * time.Second)
-	for d.Len() >= n {
+	for d.Len() >= n || db.Engine().Stats().FoldedRows == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("background fold never reclaimed: orders delta at %d rows after %d inserts", d.Len(), n)
+			t.Fatalf("background fold never reclaimed or never accounted it: orders delta at %d rows after %d inserts, FoldedRows %d",
+				d.Len(), n, db.Engine().Stats().FoldedRows)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	if st := db.Engine().Stats(); st.FoldedRows == 0 {
-		t.Fatal("FoldedRows not accounted by background job")
 	}
 	// The aggregate emits a group change per commit (2n-3 rows in all);
 	// the fold job must reclaim its applied prefix too.

@@ -3,25 +3,23 @@ package rollingjoin
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"repro/internal/capture"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/relalg"
-	"repro/internal/sched"
 )
 
 // UnionView is a materialized view defined as the multiset union of several
 // SPJ branches with identical output arity (the paper's union extension).
 // Each branch propagates independently into a shared timestamped view
 // delta; the union's high-water mark is the minimum across branches, and
-// point-in-time refresh works exactly as for plain views. Like View it is
-// a thin handle over jobs on the database's maintenance scheduler.
+// point-in-time refresh works exactly as for plain views. Like every
+// maintained relation its delta registers under its name, so views and
+// aggregates can be defined over it.
 type UnionView struct {
 	maintained
-
-	inner   *core.UnionView
-	derived *engine.Derived // unregistered: nothing downstream reads a union
-	applier *core.Applier
 }
 
 // DefineUnionView creates and materializes a union view over the branch
@@ -31,8 +29,8 @@ func (db *DB) DefineUnionView(name string, branches []ViewSpec, opt Maintain) (*
 	if len(branches) == 0 {
 		return nil, errors.New("rollingjoin: union view needs at least one branch")
 	}
-	db.ensureCapture()
 	defs := make([]*core.ViewDef, len(branches))
+	var inputs []string
 	for i, spec := range branches {
 		if spec.Name == "" {
 			spec.Name = fmt.Sprintf("%s#%d", name, i+1)
@@ -42,85 +40,45 @@ func (db *DB) DefineUnionView(name string, branches []ViewSpec, opt Maintain) (*
 			return nil, err
 		}
 		defs[i] = def
+		for _, r := range def.Relations {
+			if !slices.Contains(inputs, r) {
+				inputs = append(inputs, r)
+			}
+		}
 	}
-	interval := opt.Interval
-	if interval <= 0 {
-		interval = 16
-	}
-	var policy core.IntervalPolicy
-	if len(opt.Intervals) > 0 {
-		policy = core.PerRelationIntervals(opt.Intervals...)
-	} else {
-		policy = core.FixedInterval(interval)
-	}
-
-	// The union view starts empty at time 0 and replays the full captured
-	// history: every branch propagates from the beginning, so the first
-	// Refresh brings the view up to date regardless of pre-existing data.
-	// (Define union views before bulk loads, or prune with care: unlike
-	// DefineView there is no initial materialization shortcut, keeping all
-	// branches on one consistent time axis.)
-	inner, err := core.NewUnionView(db.eng, db.src, name, 0, policy, defs...)
+	schema, err := defs[0].Schema(db.eng)
 	if err != nil {
 		return nil, err
 	}
-	dv := engine.NewDerived(inner.Dest(), inner.HWM)
-	uv := &UnionView{inner: inner, derived: dv, applier: core.NewApplier(dv)}
-	uv.maintained = maintained{db: db, hwm: inner.HWM}
-	uv.prop = db.sched.Register("prop:"+name, inner.Step, sched.Options{
-		HWM:      inner.HWM,
-		Classify: classifyMaintenance,
-		Backlog: func(limit int) int {
-			return inner.Dest().PendingAfter(dv.MatTime(), limit)
-		},
-		MaxBacklog:   opt.MaxBacklog,
-		OnProgress:   uv.notifyDeps,
-		WakeOnNotify: true,
-	})
-	if opt.AutoRefresh {
-		uv.apply = db.sched.Register("apply:"+name, applyStep(uv.applier), sched.Options{
-			Classify:   classifyMaintenance,
-			OnProgress: uv.applied,
-		})
+	policy := core.FixedInterval(opt.interval())
+	if len(opt.Intervals) > 0 {
+		policy = core.PerRelationIntervals(opt.Intervals...)
 	}
-	db.mu.Lock()
-	db.unions = append(db.unions, uv)
-	db.mu.Unlock()
-	if !opt.Manual {
-		uv.StartPropagation()
+
+	uv := &UnionView{}
+	uv.maintained = maintained{name: name, inputs: inputs, handle: uv}
+	err = db.define(&uv.maintained, schema, opt, func(dest *engine.DeltaTable, src capture.Source, asOf CSN) (func() error, func() CSN, *relalg.Relation, error) {
+		inner, err := core.NewUnionView(db.eng, src, dest, asOf, policy, defs...)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		// Every branch materializes at the one stable instant, so the
+		// union's image starts where its branch propagators do.
+		img := relalg.NewRelation(schema)
+		for _, def := range defs {
+			rel, err := core.MaterializeAt(db.eng, def, asOf)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			img = relalg.Union(img, rel)
+		}
+		return inner.Step, inner.HWM, img, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return uv, nil
 }
 
-// Name returns the union view's name.
-func (uv *UnionView) Name() string { return uv.inner.Name }
-
-// HWM returns the union high-water mark (minimum across branches).
-func (uv *UnionView) HWM() CSN { return uv.inner.HWM() }
-
-// MatTime returns the commit the materialized tuples reflect.
-func (uv *UnionView) MatTime() CSN { return uv.derived.MatTime() }
-
-// Cardinality returns the number of tuples with multiplicity.
-func (uv *UnionView) Cardinality() int64 { return image(uv.derived).Cardinality() }
-
-// Rows returns the materialized tuples, sorted (multiplicity expanded).
-func (uv *UnionView) Rows() []Tuple { return expand(image(uv.derived)) }
-
-// Refresh rolls the union view to its high-water mark.
-func (uv *UnionView) Refresh() (CSN, error) {
-	t, err := uv.applier.RollToHWM()
-	uv.applied()
-	return t, err
-}
-
-// RefreshTo rolls the union view to an exact commit.
-func (uv *UnionView) RefreshTo(t CSN) error {
-	err := uv.applier.RollTo(t)
-	uv.applied()
-	return err
-}
-
-// Relation exposes the materialized contents for experiments and the SQL
-// layer.
-func (uv *UnionView) Relation() *relalg.Relation { return image(uv.derived) }
+// Union returns a previously defined union view.
+func (db *DB) Union(name string) (*UnionView, bool) { return lookup[*UnionView](db, name) }
